@@ -71,6 +71,8 @@ from .errors import (
     DataError,
     FactoringBudgetExceeded,
     HasseViolation,
+    IncompleteSupport,
+    InvariantViolation,
     MissingInvariant,
     NetworkError,
     NotFound,

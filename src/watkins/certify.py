@@ -24,6 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import (
     Factorization,
@@ -36,11 +37,13 @@ from .ecq import (
     WeierstrassModel,
     a_p,
     conductor,
+    conductor_from_support,
     minimal_model,
     quadratic_twist,
 )
 from .errors import (
     HasseViolation,
+    InvariantViolation,
     MissingInvariant,
     NotTwistPair,
     NoTwoTorsion,
@@ -167,11 +170,14 @@ def minimal_twist_candidates(n_fact: Factorization) -> tuple[int, ...]:
     return tuple(sorted(out, key=lambda d: (abs(d), d < 0)))
 
 
+@lru_cache(maxsize=32)
 def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
     """Whether no candidate twist has a strictly smaller conductor.
 
     Returns (flag, witness): witness is the discriminant achieving the
-    smallest twisted conductor when one beats the curve itself.
+    smallest twisted conductor when one beats the curve itself.  The
+    answer is memoized per record, keyed on every field, so single
+    twists of one curve pay for the candidate conductors once.
     """
     n = curve.conductor.value
     best = None
@@ -192,18 +198,12 @@ class CertifyContext:
         self.curve = curve
         self.assume_manin = assume_manin
         self._ap: dict[int, int] = {}
-        self._minimal: tuple[bool, int | None] | None = None
         self._v2m: tuple[int, list[str]] | None = None
 
     def ap(self, p: int) -> int:
         if p not in self._ap:
             self._ap[p] = a_p(self.curve.minimal_model, p)
         return self._ap[p]
-
-    def minimal_twist(self) -> tuple[bool, int | None]:
-        if self._minimal is None:
-            self._minimal = is_minimal_twist(self.curve)
-        return self._minimal
 
     def v2_moddeg(self) -> tuple[int, list[str]]:
         if self._v2m is None:
@@ -256,10 +256,11 @@ def verify_twist(
     """Certificate for the twist of curve by the fundamental discriminant d.
 
     Applicability gates, in order: the curve must have rational
-    2-torsion, must be the minimal twist in its family, and its
-    conductor must divide the twisted conductor.  Budget or data
-    errors downgrade to INAPPLICABLE with a snake_case reason rather
-    than escaping.
+    2-torsion, must be the minimal twist in its family, must have a
+    known modular degree (and Manin constant, unless assume_manin),
+    and its conductor must divide the twisted conductor.  Budget or
+    data errors downgrade to INAPPLICABLE with a snake_case reason
+    rather than escaping.
     """
     if d == 1 or not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a non-trivial fundamental discriminant")
@@ -268,22 +269,28 @@ def verify_twist(
     try:
         if curve.two_torsion_rank < 1:
             raise NoTwoTorsion("curve has no rational 2-torsion")
-        minimal, _witness = ctx.minimal_twist()
+        minimal, _witness = is_minimal_twist(curve)
         if not minimal:
             raise WatkinsError("not_minimal_twist")
-        twist = quadratic_twist(curve.minimal_model, d)
-        twist_min = minimal_model(twist).model
-        twist_cond = conductor(twist_min)
+        v2m, assumptions = ctx.v2_moddeg()
+
+        d_fact = factorize(d)
+        twist_min = minimal_model(quadratic_twist(curve.minimal_model, d)).model
+        # Delta_min(E^D) divides 2^a * 3^b * d^6 * Delta_min(E)
+        twist_cond = conductor_from_support(
+            twist_min,
+            {2, 3, *d_fact.primes(), *curve.min_disc.primes()},
+            proven=d_fact.proven and curve.min_disc.proven,
+        )
         if twist_cond.value % curve.conductor.value:
             raise WatkinsError("conductor_divisibility")
 
         _delta, within = faltings_delta_v2(curve.minimal_model, twist_min)
-        assert within, "twist pair breaks the height-comparison bound"
+        if not within:
+            raise InvariantViolation("the twist pair breaks the height-comparison bound")
 
-        d_fact = factorize(d)
-        v2m, assumptions = ctx.v2_moddeg()
         assumptions = list(assumptions)
-        if not (curve.min_disc.proven and twist_cond.proven and d_fact.proven):
+        if not twist_cond.proven:
             assumptions.append("probabilistic_prime")
 
         pairs = [(p, ctx.ap(p)) for p in twist_prime_set(d_fact, curve.conductor)]

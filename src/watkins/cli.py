@@ -20,6 +20,7 @@ from .arith import count_omega_at_most, enumerate_fundamental_discriminants
 from .certify import (
     CERT_FIELDS,
     CertifyContext,
+    _enc_fact,
     certificate_to_obj,
     obj_to_flat,
     verify_twist,
@@ -57,10 +58,6 @@ def _resolve_record(args) -> CurveRecord:
 
 def _emit(obj: dict, out) -> None:
     out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def _fact_obj(f):
-    return {"value": str(f.value), "factors": [[str(p), str(e)] for p, e in f.factors]}
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +191,7 @@ def _cmd_conductor(args) -> int:
     _emit(
         {
             "curve": record.label or args.curve,
-            "conductor": _fact_obj(record.conductor),
+            "conductor": _enc_fact(record.conductor),
             "minimal_model": list(record.minimal_model.ainvs()),
             "local": [
                 {"p": str(r.p), "kodaira": r.kodaira, "f": str(r.f), "kind": r.kind}

@@ -13,12 +13,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .arith import TRIAL_LIMIT, Factorization, _iroot, _is_prime, factorize, small_primes, vp
 from .errors import (
     BadReduction,
     BudgetExceeded,
+    IncompleteSupport,
+    InvariantViolation,
     NotMinimal,
     SingularModel,
     ZeroInput,
@@ -94,16 +96,20 @@ def _v(x: int, p: int) -> int:
     return _INF if x == 0 else vp(x, p)
 
 
-def _shift(m: WeierstrassModel, r: int, s: int, t: int) -> WeierstrassModel:
+def _shift_ainvs(m: WeierstrassModel, r: int, s: int, t: int) -> tuple[int, int, int, int, int]:
     # u = 1 coordinate change, integer arithmetic only
     a1, a2, a3, a4, a6 = m.ainvs()
-    return WeierstrassModel(
+    return (
         a1 + 2 * s,
         a2 - s * a1 + 3 * r - s * s,
         a3 + r * a1 + 2 * t,
         a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
         a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
     )
+
+
+def _shift(m: WeierstrassModel, r: int, s: int, t: int) -> WeierstrassModel:
+    return WeierstrassModel(*_shift_ainvs(m, r, s, t))
 
 
 def transform_model(m: WeierstrassModel, u, r=0, s=0, t=0) -> WeierstrassModel:
@@ -126,6 +132,16 @@ def transform_model(m: WeierstrassModel, u, r=0, s=0, t=0) -> WeierstrassModel:
     out = WeierstrassModel(*(int(c) for c in coeffs))
     assert Fraction(m.disc) == out.disc * u**12
     return out
+
+
+def _transforms_to(m: WeierstrassModel, mm: WeierstrassModel, u: int, r: int, s: int, t: int) -> bool:
+    """transform_model(m, u, r, s, t) == mm for integers u >= 1, r, s, t.
+
+    Each a_i of mm and its discriminant are scaled up by powers of u
+    instead of dividing m's, so no Fraction is built.
+    """
+    scaled = tuple(a * u**k for a, k in zip(mm.ainvs(), (1, 2, 3, 4, 6)))
+    return _shift_ainvs(m, r, s, t) == scaled and m.disc == mm.disc * u**12
 
 
 def _kraus2(c4: int, c6: int) -> bool:
@@ -246,7 +262,9 @@ class MinimalModelResult:
 def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
     """Global minimal model in reduced form, with the transform back.
 
-    transform_model(m, u, r, s, t) == model holds on the result.
+    transform_model(m, u, r, s, t) == model holds on the result; it is
+    checked here in integer arithmetic, and InvariantViolation reports
+    a failure.
     """
     c4, c6 = m.c4, m.c6
     disc1728 = 1728 * m.disc
@@ -259,14 +277,16 @@ def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
             c6 //= p ** (6 * e)
             disc1728 //= p ** (12 * e)
             u *= p**e
-    assert _kraus_ok(c4, c6)
+    if not _kraus_ok(c4, c6):
+        raise InvariantViolation(f"no integral model has the scaled invariants ({c4}, {c6})")
     mm = _model_from_c4c6(c4, c6)
-    s = Fraction(u * mm.a1 - m.a1, 2)
-    r = Fraction(u * u * mm.a2 - m.a2 + s * m.a1 + s * s, 3)
-    t = Fraction(u**3 * mm.a3 - m.a3 - r * m.a1, 2)
-    assert r.denominator == 1 and s.denominator == 1 and t.denominator == 1
-    r, s, t = int(r), int(s), int(t)
-    assert transform_model(m, u, r, s, t) == mm
+    s, s_rem = divmod(u * mm.a1 - m.a1, 2)
+    r, r_rem = divmod(u * u * mm.a2 - m.a2 + s * m.a1 + s * s, 3)
+    t, t_rem = divmod(u**3 * mm.a3 - m.a3 - r * m.a1, 2)
+    if s_rem or r_rem or t_rem:
+        raise InvariantViolation("the change of coordinates to the minimal model is not integral")
+    if not _transforms_to(m, mm, u, r, s, t):
+        raise InvariantViolation("the minimal model does not transform back to the input model")
     return MinimalModelResult(mm, u, r, s, t)
 
 
@@ -444,10 +464,39 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReduction:
     return red
 
 
+def _reductions_over(mm: WeierstrassModel, support) -> list[LocalReduction]:
+    """Reduction data at the bad primes of the minimal model mm, ascending.
+
+    support is a set of primes holding every prime of mm.disc; they are
+    divided out of the discriminant, and IncompleteSupport reports a
+    cofactor other than 1.
+    """
+    rest = abs(mm.disc)
+    out = []
+    for p in sorted(set(support)):
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        out.append(tate_local(mm, p))
+    if rest != 1:
+        raise IncompleteSupport(f"the support leaves the cofactor {rest} of the discriminant {mm.disc}")
+    return out
+
+
+def conductor_from_support(mm: WeierstrassModel, support, *, proven: bool) -> Factorization:
+    """Conductor of the minimal model mm, from a prime set holding its bad primes.
+
+    proven is the flag of the factorizations the support came from.
+    """
+    fs = tuple((red.p, red.f) for red in _reductions_over(mm, support) if red.f)
+    return Factorization(value=prod(p**f for p, f in fs), sign=1, factors=fs, proven=proven)
+
+
 def local_reductions(m: WeierstrassModel) -> list[LocalReduction]:
     """Reduction data at every bad prime of the minimal model."""
     mm = minimal_model(m).model
-    return [tate_local(mm, p) for p in factorize(mm.disc).primes()]
+    return _reductions_over(mm, factorize(mm.disc).primes())
 
 
 def conductor(m: WeierstrassModel) -> Factorization:
@@ -457,14 +506,7 @@ def conductor(m: WeierstrassModel) -> Factorization:
     """
     mm = minimal_model(m).model
     df = factorize(mm.disc)
-    fs = []
-    value = 1
-    for p in df.primes():
-        red = tate_local(mm, p)
-        if red.f:
-            fs.append((p, red.f))
-            value *= p**red.f
-    return Factorization(value=value, sign=1, factors=tuple(fs), proven=df.proven)
+    return conductor_from_support(mm, df.primes(), proven=df.proven)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,14 @@ class NotTwistPair(WatkinsError):
     """Height comparison requested for curves that are not twists."""
 
 
+class InvariantViolation(WatkinsError):
+    """A mathematical identity a computation rests on failed to hold."""
+
+
+class IncompleteSupport(WatkinsError):
+    """A prime set meant to hold every bad prime misses one of them."""
+
+
 class DataError(WatkinsError):
     """Base for acquisition/cache/validation failures."""
 

@@ -8,10 +8,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from watkins.arith import enumerate_fundamental_discriminants, factorize
+import watkins.certify as certify
+from watkins.arith import TRIAL_LIMIT, enumerate_fundamental_discriminants, factorize, is_fundamental_discriminant
 from watkins.certify import (
     CERT_FIELDS,
     CertifyContext,
@@ -33,7 +34,7 @@ from watkins.certify import (
     verify_twist,
     watkins_threshold,
 )
-from watkins.ecq import build_curve_record, quadratic_twist
+from watkins.ecq import build_curve_record, conductor, quadratic_twist
 from watkins.errors import (
     HasseViolation,
     MissingInvariant,
@@ -180,8 +181,6 @@ def test_is_minimal_twist(records):
 
 
 def test_context_caches_traces(records, monkeypatch):
-    import watkins.certify as certify
-
     calls = []
     real = certify.a_p
 
@@ -275,6 +274,63 @@ def test_verify_assume_manin_flows_through(records):
     cert = verify_twist(rec, 5, assume_manin=True)
     assert cert.verdict == "CERTIFIED"
     assert cert.assumptions == ("manin_assumed_1",)
+
+
+def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypatch):
+    calls = []
+    real = certify.conductor
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(certify, "conductor", counting)
+    rec = dataclasses.replace(records["17a1"], label="17a1-counted")
+    certify.is_minimal_twist.cache_clear()
+    n_candidates = len(minimal_twist_candidates(rec.conductor))
+    for d in (5, -3, 13, -4, 1000033):
+        verify_twist(rec, d)
+    assert len(calls) == n_candidates
+    # a record that differs in any field gets its own check
+    verify_twist(dataclasses.replace(rec, fetched_at="2000-01-01"), 5)
+    assert len(calls) == 2 * n_candidates
+    verify_twist(dataclasses.replace(rec), 5)
+    assert len(calls) == 2 * n_candidates
+
+
+def test_height_check_failure_is_inapplicable(records, monkeypatch):
+    monkeypatch.setattr(certify, "faltings_delta_v2", lambda e1, e2: (Fraction(4), False))
+    cert = verify_twist(records["17a1"], 5)
+    assert cert.verdict_full == "INAPPLICABLE(invariant_violation)"
+
+
+TWO_TORSION = ("14a1", "15a1", "15a8", "17a1", "20a1", "24a1", "32a1", "32a2", "36a1", "49a1", "256a1")
+PAST_TRIAL_WALL = (1000003, 1000033, 2000003, 9999991)  # primes above TRIAL_LIMIT
+
+
+@st.composite
+def fundamental_discriminants(draw):
+    # a squarefree core, half the time times a prime past the trial-division wall
+    d = draw(st.integers(min_value=2, max_value=10**5)) * draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        d *= draw(st.sampled_from(PAST_TRIAL_WALL))
+    if d % 4 != 1:
+        d *= 4
+    assume(is_fundamental_discriminant(d))
+    return d
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TWO_TORSION), fundamental_discriminants())
+def test_twist_conductor_from_support_matches_full_conductor(records, label, d):
+    assert min(PAST_TRIAL_WALL) > TRIAL_LIMIT
+    rec = records[label]
+    assert rec.two_torsion_rank >= 1
+    # a stand-in modular degree so every 2-torsion fixture reaches the conductor
+    rec = dataclasses.replace(rec, moddeg=rec.moddeg or 1, manin=rec.manin or 1)
+    cert = verify_twist(rec, d)
+    assert cert.twist_conductor is not None, cert.verdict_full
+    assert cert.twist_conductor == conductor(quadratic_twist(rec.minimal_model, d))
 
 
 def test_verify_with_shared_context_matches(records):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from watkins import ecq
 from watkins.ecq import (
     WeierstrassModel,
     a_p,
     build_curve_record,
     conductor,
+    conductor_from_support,
     local_reductions,
     minimal_model,
     quadratic_twist,
@@ -18,7 +20,14 @@ from watkins.ecq import (
     transform_model,
     two_torsion_rank,
 )
-from watkins.errors import BadReduction, BudgetExceeded, NotMinimal, SingularModel
+from watkins.errors import (
+    BadReduction,
+    BudgetExceeded,
+    IncompleteSupport,
+    InvariantViolation,
+    NotMinimal,
+    SingularModel,
+)
 
 from conftest import brute_ap
 
@@ -119,6 +128,47 @@ def test_minimal_model_undoes_transforms(records, label, k, r, s, t):
     assert minimal_model(blown).model == m
 
 
+@given(
+    st.tuples(*[st.integers(min_value=-20, max_value=20)] * 5),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-8, max_value=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_round_trip_matches_transform_model(ainvs, k, r, s, t):
+    try:
+        base = WeierstrassModel(*ainvs)
+    except SingularModel:
+        return
+    m = transform_model(base, Fraction(1, k), r, s, t)
+    res = minimal_model(m)
+    assert transform_model(m, res.u, res.r, res.s, res.t) == res.model
+    # the reference and the integer check agree on the true transform and on wrong ones
+    for u, r2, s2, t2 in (
+        (res.u, res.r, res.s, res.t),
+        (res.u, res.r + 1, res.s, res.t),
+        (res.u, res.r, res.s - 1, res.t),
+        (res.u, res.r, res.s, res.t + 1),
+        (2 * res.u, res.r, res.s, res.t),
+    ):
+        try:
+            want = transform_model(m, u, r2, s2, t2) == res.model
+        except ValueError:
+            want = False
+        assert ecq._transforms_to(m, res.model, u, r2, s2, t2) == want
+
+
+def test_minimal_model_checks_raise_typed_errors(monkeypatch):
+    m = WeierstrassModel(0, 0, 0, -256, 0)
+    monkeypatch.setattr(ecq, "_transforms_to", lambda *args: False)
+    with pytest.raises(InvariantViolation):
+        minimal_model(m)
+    monkeypatch.setattr(ecq, "_kraus_ok", lambda c4, c6: False)
+    with pytest.raises(InvariantViolation):
+        minimal_model(m)
+
+
 # --- local reduction and conductors ---------------------------------------------
 
 
@@ -171,6 +221,15 @@ def test_twist_conductor_example(records):
     tw = quadratic_twist(records["17a1"].minimal_model, 5)
     cond = conductor(minimal_model(tw).model)
     assert cond.value == 5**2 * 17
+
+
+def test_support_missing_a_bad_prime_raises(records):
+    twist_min = minimal_model(quadratic_twist(records["17a1"].minimal_model, 5)).model
+    with pytest.raises(IncompleteSupport):
+        conductor_from_support(twist_min, {2, 3, 5}, proven=True)
+    with pytest.raises(IncompleteSupport):
+        conductor_from_support(twist_min, {2, 3, 17}, proven=True)
+    assert conductor_from_support(twist_min, {2, 3, 5, 17}, proven=True).value == 5**2 * 17
 
 
 # --- 2-torsion ----------------------------------------------------------------------
