@@ -67,6 +67,7 @@ from .ecq import (
 from .errors import (
     BadReduction,
     BudgetExceeded,
+    ConductorDivisibility,
     CorruptCache,
     DataError,
     FactoringBudgetExceeded,
@@ -77,6 +78,7 @@ from .errors import (
     NetworkError,
     NotFound,
     NotMinimal,
+    NotMinimalTwist,
     NotTwistPair,
     NoTwoTorsion,
     SchemaMismatch,

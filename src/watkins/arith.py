@@ -5,6 +5,12 @@ explicit round budget.  Primality is Miller-Rabin with the deterministic
 base set below the proven bound, and a seeded probabilistic fallback
 above it; results carry a ``proven`` flag so downstream certificates can
 record the assumption instead of hiding it.
+
+Trial division reads a table of small primes that grows on demand: it
+starts with the primes below 1024 and doubles its sieve bound, up to
+TRIAL_LIMIT, only when a loop reaches its last prime and still needs
+larger ones.  A process that factors only small numbers never sieves
+far.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
-from .errors import BudgetExceeded, FactoringBudgetExceeded, ZeroInput
+from .errors import BudgetExceeded, FactoringBudgetExceeded, InvariantViolation, ZeroInput
 
 TRIAL_LIMIT = 10**6
 
@@ -24,15 +30,80 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-@lru_cache(maxsize=1)
+def _sieve(n: int) -> tuple[int, ...]:
+    """Primes below n >= 3, ascending."""
+    half = n // 2  # sieve[i] stands for the odd number 2i + 1
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(n - 1) - 1) // 2 + 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    return (2, *compress(range(1, n, 2), sieve))
+
+
+# The on-demand table: _PRIMES holds every prime below _SIEVED, ascending.
+# It only grows, and _PRIMES is stored before _SIEVED, so a reader never
+# sees a bound that the table does not reach yet.
+_SIEVED = 1024
+_PRIMES = _sieve(_SIEVED)
+
+
+def _sieve_table(bound: int) -> None:
+    global _PRIMES, _SIEVED
+    _PRIMES = _sieve(bound)
+    _SIEVED = bound
+
+
+def _primes_from(i: int) -> tuple[int, ...]:
+    """The table's primes from index i on, doubling the table if it has none.
+
+    Returns () once the table holds every prime below TRIAL_LIMIT and
+    i is past its end.
+    """
+    if i >= len(_PRIMES) and _SIEVED < TRIAL_LIMIT:
+        _sieve_table(min(2 * _SIEVED, TRIAL_LIMIT))
+    return _PRIMES[i:]
+
+
 def small_primes() -> tuple[int, ...]:
-    """Primes below TRIAL_LIMIT, sieved once and cached."""
-    sieve = bytearray([1]) * TRIAL_LIMIT
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(TRIAL_LIMIT) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(TRIAL_LIMIT) if sieve[i])
+    """Every prime below TRIAL_LIMIT, ascending.
+
+    Sieves the on-demand table to TRIAL_LIMIT in one pass; trial
+    division reads the table directly and grows it only as far as its
+    numbers need.
+    """
+    if _SIEVED < TRIAL_LIMIT:
+        _sieve_table(TRIAL_LIMIT)
+    return _PRIMES
+
+
+def _trial_divide(m: int, found: dict[int, int], bound: int = TRIAL_LIMIT, root: int = 2) -> int:
+    """Divide the primes p <= bound out of m > 0 while p**root <= m; return the rest.
+
+    m shrinks as primes are divided out, and each goes into found with
+    its exponent.  With root = 2 the cofactor is 1, a prime, or a
+    number whose primes all exceed bound or the largest prime below
+    TRIAL_LIMIT.
+    """
+    lim = min(_iroot(m, root), bound)
+    primes, i = _PRIMES, 0
+    while primes:
+        for p in primes:
+            if p > lim:
+                return m
+            if m % p == 0:
+                m //= p
+                e = 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                found[p] = e
+                lim = min(_iroot(m, root), bound)
+        i += len(primes)
+        primes = _primes_from(i)
+    return m
 
 
 def v2(numerator: int, denominator: int = 1) -> int:
@@ -103,6 +174,8 @@ def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0, exact integer Newton."""
     if n < 0:
         raise ValueError("negative radicand")
+    if k == 2:
+        return math.isqrt(n)
     if n < 2:
         return n
     x = 1 << (n.bit_length() // k + 1)
@@ -226,19 +299,13 @@ def factorize(n: int, *, rho_rounds: int = 64) -> Factorization:
     if n == 0:
         raise ZeroInput("cannot factor 0")
     sign = -1 if n < 0 else 1
-    m = abs(n)
     found: dict[int, int] = {}
+    m = _trial_divide(abs(n), found)
     proven = True
-    for p in small_primes():
-        if p * p > m:
-            break
-        while m % p == 0:
-            m //= p
-            found[p] = found.get(p, 0) + 1
     if m > 1:
         if m < TRIAL_LIMIT * TRIAL_LIMIT:
             # below the trial wall squared the cofactor must be prime
-            found[m] = found.get(m, 0) + 1
+            found[m] = 1
         else:
             proven = _factor_large(m, found, rho_rounds)
     factors = tuple(sorted(found.items()))
@@ -273,20 +340,29 @@ def omega(f: Factorization) -> int:
 
 
 def _squarefree(n: int) -> bool:
-    # n > 0; cheap because callers pass small or pre-reduced values
+    # n > 0; stops at the first square factor it meets
     if n % 4 == 0:
         return False
-    for p in small_primes():
-        if p * p > n:
-            return True
-        if n % (p * p) == 0:
-            return False
-    # survived trial: any remaining square factor has prime > TRIAL_LIMIT,
-    # so n would need to exceed TRIAL_LIMIT**2
+    lim = math.isqrt(n)
+    primes, i = _PRIMES, 0
+    while primes:
+        for p in primes:
+            if p > lim:
+                return True
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return False
+                lim = math.isqrt(n)
+        i += len(primes)
+        primes = _primes_from(i)
+    # any square factor left has its prime above the trial wall,
+    # so n would need to reach TRIAL_LIMIT**2
     if n < TRIAL_LIMIT * TRIAL_LIMIT:
         return True
-    f = factorize(n)
-    return all(e == 1 for _, e in f.factors)
+    found: dict[int, int] = {}
+    _factor_large(n, found, 64)
+    return all(e == 1 for e in found.values())
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -411,13 +487,13 @@ def prime_discriminant_parts(d: int) -> tuple[tuple[int, Factorization], ...]:
             odd_prod *= q
         two_part = d // odd_prod
         if two_part not in (-4, 8, -8):
-            raise AssertionError(f"bad 2-part {two_part} of {d}")
+            raise InvariantViolation(f"bad 2-part {two_part} of {d}")
         parts.append(two_part)
     else:
         prod = 1
         for q in parts:
             prod *= q
         if prod != d:
-            raise AssertionError(f"prime parts {parts} do not multiply to {d}")
+            raise InvariantViolation(f"prime parts {parts} do not multiply to {d}")
     parts.sort(key=abs)
     return tuple((q, factorize(q)) for q in parts)

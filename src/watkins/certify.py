@@ -42,9 +42,11 @@ from .ecq import (
     quadratic_twist,
 )
 from .errors import (
+    ConductorDivisibility,
     HasseViolation,
     InvariantViolation,
     MissingInvariant,
+    NotMinimalTwist,
     NotTwistPair,
     NoTwoTorsion,
     WatkinsError,
@@ -269,9 +271,9 @@ def verify_twist(
     try:
         if curve.two_torsion_rank < 1:
             raise NoTwoTorsion("curve has no rational 2-torsion")
-        minimal, _witness = is_minimal_twist(curve)
+        minimal, witness = is_minimal_twist(curve)
         if not minimal:
-            raise WatkinsError("not_minimal_twist")
+            raise NotMinimalTwist(f"the twist by {witness} has a smaller conductor")
         v2m, assumptions = ctx.v2_moddeg()
 
         d_fact = factorize(d)
@@ -283,7 +285,7 @@ def verify_twist(
             proven=d_fact.proven and curve.min_disc.proven,
         )
         if twist_cond.value % curve.conductor.value:
-            raise WatkinsError("conductor_divisibility")
+            raise ConductorDivisibility(f"N = {curve.conductor.value} does not divide N_D = {twist_cond.value}")
 
         _delta, within = faltings_delta_v2(curve.minimal_model, twist_min)
         if not within:
@@ -316,8 +318,7 @@ def verify_twist(
             assumptions=tuple(assumptions),
         )
     except WatkinsError as err:
-        reason = str(err) if type(err) is WatkinsError else _reason_from(err)
-        return TwistCertificate(curve=name, d=d, verdict=INAPPLICABLE, reason=reason)
+        return TwistCertificate(curve=name, d=d, verdict=INAPPLICABLE, reason=_reason_from(err))
 
 
 # ---------------------------------------------------------------------------

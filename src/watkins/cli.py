@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from contextlib import ExitStack
-from multiprocessing import Pool
 
 from .arith import count_omega_at_most, enumerate_fundamental_discriminants
 from .certify import (
@@ -141,6 +140,8 @@ def _cmd_scan(args) -> int:
             _scan_init(record, args.assume_manin)
             objs = map(_scan_one, ds)
         else:
+            from multiprocessing import Pool  # only a parallel scan pays for the import
+
             pool = stack.enter_context(
                 Pool(args.jobs, initializer=_scan_init, initargs=(record, args.assume_manin))
             )

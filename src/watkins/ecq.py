@@ -15,7 +15,16 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 
-from .arith import TRIAL_LIMIT, Factorization, _iroot, _is_prime, factorize, small_primes, vp
+from .arith import (
+    TRIAL_LIMIT,
+    Factorization,
+    _factor_large,
+    _iroot,
+    _is_prime,
+    _trial_divide,
+    factorize,
+    vp,
+)
 from .errors import (
     BadReduction,
     BudgetExceeded,
@@ -192,7 +201,11 @@ def _scaling_exponent(c4: int, c6: int, disc1728: int, p: int) -> int:
 
 
 def _unit_prime_candidates(c4: int, c6: int) -> list[int]:
-    # primes that could divide the scaling unit
+    """Primes that could divide the scaling unit, ascending.
+
+    A prime p can scale (c4, c6) down only if p^4 | c4 and p^6 | c6,
+    so p^4 divides their gcd and p is at most the root bound.
+    """
     if c4 == 0:
         bound = _iroot(abs(c6), 6)
     elif c6 == 0:
@@ -202,20 +215,15 @@ def _unit_prime_candidates(c4: int, c6: int) -> list[int]:
     g = gcd(abs(c4), abs(c6))
     if g <= 1 or bound < 2:
         return []
-    out = []
-    rem = g
-    for p in small_primes():
-        if p > bound or rem == 1:
-            break
-        if rem % p == 0:
-            out.append(p)
-            while rem % p == 0:
-                rem //= p
-    if rem > 1 and bound >= TRIAL_LIMIT:
-        # g kept a factor beyond the trial wall and the root bound
-        # still allows it; a budgeted split decides
-        f = factorize(rem)
-        out.extend(p for p, _ in f.factors if p <= bound)
+    found: dict[int, int] = {}
+    rem = _trial_divide(g, found, bound, root=4)
+    out = [p for p, e in found.items() if e >= 4]
+    if rem >= TRIAL_LIMIT**4 and bound >= TRIAL_LIMIT:
+        # every prime left in rem is beyond the trial wall, and the
+        # fourth power of one may still divide g; a budgeted split decides
+        large: dict[int, int] = {}
+        _factor_large(rem, large, 64)
+        out.extend(sorted(p for p, e in large.items() if e >= 4 and p <= bound))
     return out
 
 
@@ -247,7 +255,7 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
         cand = WeierstrassModel(a1, a2, a3, a4, a6)
         if cand.c4 == c4 and cand.c6 == c6:
             return cand
-    raise AssertionError(f"no integral model for invariants ({c4}, {c6})")
+    raise InvariantViolation(f"no integral model for invariants ({c4}, {c6})")
 
 
 @dataclass(frozen=True)
@@ -317,25 +325,23 @@ def _singular_point(m: WeierstrassModel, p: int) -> tuple[int, int]:
             fy = (2 * y + a1 * x + a3) % p
             if fx == 0 and fy == 0:
                 return x, y
-    raise AssertionError(f"no singular point mod {p}")
+    raise InvariantViolation(f"the reduction mod {p} has no singular point")
 
 
 def _prep_step7(w: WeierstrassModel, p: int) -> WeierstrassModel:
     # normalize to v(a1), v(a2) >= 1, v(a3), v(a4) >= 2, v(a6) >= 3;
-    # a (s, t) shift with these residues exists once types II-IV are ruled out
+    # a (s, t) shift with these residues exists once types II-IV are ruled out.
+    # Residues are tested on coefficient tuples; only the answer becomes a model.
     p2, p3 = p * p, p**3
+    a1, a2 = w.a1, w.a2
     for s in range(p2):
+        if (a1 + 2 * s) % p or (a2 - s * a1 - s * s) % p:
+            continue  # the shifted a1, a2 do not depend on t
         for t in range(p3):
-            c = _shift(w, 0, s, t)
-            if (
-                c.a1 % p == 0
-                and c.a2 % p == 0
-                and c.a3 % p2 == 0
-                and c.a4 % p2 == 0
-                and c.a6 % p3 == 0
-            ):
-                return c
-    raise AssertionError("step-6 normalization failed")
+            c = _shift_ainvs(w, 0, s, t)
+            if c[2] % p2 == 0 and c[3] % p2 == 0 and c[4] % p3 == 0:
+                return WeierstrassModel(*c)
+    raise InvariantViolation(f"no shift normalizes the model at {p} for step 7 of Tate's algorithm")
 
 
 def _root_multiplicities(coeffs: list[int], p: int) -> dict[int, int]:
@@ -367,7 +373,8 @@ def _tate_In_star(w: WeierstrassModel, p: int, n: int) -> LocalReduction:
     mx = my = p * p
     idx = 1
     while True:
-        assert w.a3 % my == 0 and w.a6 % (mx * my) == 0
+        if w.a3 % my or w.a6 % (mx * my):
+            raise InvariantViolation(f"the I_m* chain at {p} lost the divisibility of a3, a6")
         b = w.a3 // my
         c = -(w.a6 // (mx * my))
         if (b * b - 4 * c) % p:
@@ -376,7 +383,8 @@ def _tate_In_star(w: WeierstrassModel, p: int, n: int) -> LocalReduction:
         w = _shift(w, 0, 0, my * y1)
         my *= p
         idx += 1
-        assert w.a2 % p == 0 and w.a4 % (p * mx) == 0 and w.a6 % (mx * my) == 0
+        if w.a2 % p or w.a4 % (p * mx) or w.a6 % (mx * my):
+            raise InvariantViolation(f"the I_m* chain at {p} lost the divisibility of a2, a4, a6")
         a2t = w.a2 // p
         a4t = w.a4 // (p * mx)
         a6t = w.a6 // (mx * my)
@@ -387,7 +395,7 @@ def _tate_In_star(w: WeierstrassModel, p: int, n: int) -> LocalReduction:
         mx *= p
         idx += 1
         if idx > n:
-            raise AssertionError("runaway I_m* chain")
+            raise InvariantViolation(f"the I_m* chain at {p} runs past v(disc) = {n}")
 
 
 def _tate_small(m: WeierstrassModel, p: int, n: int) -> LocalReduction:
@@ -412,7 +420,8 @@ def _tate_small(m: WeierstrassModel, p: int, n: int) -> LocalReduction:
         return _tate_In_star(_shift(w, p * r1, 0, 0), p, n)
     (r1,) = [r for r, k in roots.items() if k == 3]
     w = _shift(w, p * r1, 0, 0)
-    assert w.a3 % p**2 == 0 and w.a6 % p**4 == 0
+    if w.a3 % p**2 or w.a6 % p**4:
+        raise InvariantViolation(f"the triple root shift at {p} lost the divisibility of a3, a6")
     b = w.a3 // p**2
     c = -(w.a6 // p**4)
     if (b * b - 4 * c) % p:
@@ -460,7 +469,8 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReduction:
         raise NotMinimal(f"model is not minimal at {p}")
     red = _tate_table(m, p, n) if p >= 5 else _tate_small(m, p, n)
     cap = 8 if p == 2 else 5 if p == 3 else 2
-    assert red.f <= cap, f"conductor exponent {red.f} exceeds the cap at {p}"
+    if red.f > cap:
+        raise InvariantViolation(f"conductor exponent {red.f} exceeds the cap at {p}")
     return red
 
 
@@ -535,7 +545,8 @@ def two_torsion_rank(m: WeierstrassModel) -> int:
     c0 = 16 * b6
     if c0 == 0:
         dsc = b2 * b2 - 32 * b4
-        assert dsc != 0  # separable cubic
+        if dsc == 0:
+            raise InvariantViolation("the 2-division polynomial of a nonsingular model has a double root")
         if dsc < 0:
             return 1
         s = isqrt(dsc)
@@ -545,7 +556,8 @@ def two_torsion_rank(m: WeierstrassModel) -> int:
         for x in (dv, -dv):
             if x**3 + b2 * x * x + 8 * b4 * x + c0 == 0:
                 roots += 1
-    assert roots in (0, 1, 3)
+    if roots not in (0, 1, 3):
+        raise InvariantViolation(f"the 2-division polynomial has {roots} rational roots")
     return {0: 0, 1: 1, 3: 2}[roots]
 
 
@@ -644,7 +656,7 @@ def _bsgs_annihilator(P, lo: int, hi: int, a: int, p: int) -> int:
                 return n
         R = _ec_add(R, S, a, p)
         i += 1
-    raise AssertionError("no annihilator in the Hasse window")
+    raise InvariantViolation("no annihilator in the Hasse window")
 
 
 def _exact_order(P, n: int, a: int, p: int) -> int:
@@ -664,7 +676,8 @@ def _order_from_points(a: int, b: int, p: int, rng: random.Random, tries: int):
         n = _bsgs_annihilator(P, lo, hi, a, p)
         L = lcm(L, _exact_order(P, n, a, p))
         k0 = ((lo + L - 1) // L) * L
-        assert k0 <= hi, "no multiple of the exponent in the Hasse window"
+        if k0 > hi:
+            raise InvariantViolation("no multiple of the exponent in the Hasse window")
         if k0 + L > hi:
             return k0
     return None  # group exponent too small to pin the order down
@@ -713,7 +726,8 @@ def a_p(m: WeierstrassModel, p: int, *, naive_limit: int = 10**4, bsgs_limit: in
         a = -27 * m.c4 % p
         b = -54 * m.c6 % p
         ap = p + 1 - _curve_order(a, b, p)
-        assert ap * ap <= 4 * p
+        if ap * ap > 4 * p:
+            raise InvariantViolation(f"the group order mod {p} breaks the Hasse bound")
         return ap
     raise BudgetExceeded(f"a_p at {p} exceeds the point-counting budget")
 
@@ -759,12 +773,12 @@ def build_curve_record(
         raise ValueError("the Manin constant is a positive integer")
     if rank is not None and rank < 0:
         raise ValueError("rank cannot be negative")
-    model = WeierstrassModel(*ainvs)
-    mm = minimal_model(model).model
+    mm = minimal_model(WeierstrassModel(*ainvs)).model
+    min_disc = factorize(mm.disc)
     return CurveRecord(
         minimal_model=mm,
-        min_disc=factorize(mm.disc),
-        conductor=conductor(mm),
+        min_disc=min_disc,
+        conductor=conductor_from_support(mm, min_disc.primes(), proven=min_disc.proven),
         two_torsion_rank=two_torsion_rank(mm),
         moddeg=moddeg,
         manin=manin,

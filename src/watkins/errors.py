@@ -46,6 +46,14 @@ class NoTwoTorsion(WatkinsError):
     """The torsion-route bound needs a rational 2-torsion point."""
 
 
+class NotMinimalTwist(WatkinsError):
+    """A twist of the curve has a strictly smaller conductor."""
+
+
+class ConductorDivisibility(WatkinsError):
+    """The curve's conductor does not divide the twisted conductor."""
+
+
 class NotTwistPair(WatkinsError):
     """Height comparison requested for curves that are not twists."""
 

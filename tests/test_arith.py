@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from watkins import arith
 from watkins.arith import (
+    TRIAL_LIMIT,
     Factorization,
     FundamentalDiscriminant,
     _is_prime,
@@ -18,6 +20,7 @@ from watkins.arith import (
     v2,
     vp,
 )
+from watkins.ecq import _unit_prime_candidates
 from watkins.errors import BudgetExceeded, FactoringBudgetExceeded, ZeroInput
 
 M89 = 2**89 - 1  # prime, but above the deterministic Miller-Rabin bound
@@ -295,3 +298,95 @@ def test_count_omega_edges():
     assert count_omega_at_most(1, 0) == 1  # omega(1) = 0
     with pytest.raises(BudgetExceeded):
         count_omega_at_most(10**8, 1)
+
+
+# --- the on-demand prime table -------------------------------------------------
+
+
+def _cold_table(mp: pytest.MonkeyPatch) -> None:
+    # the table as a fresh interpreter has it: primes below 1024 only
+    mp.setattr(arith, "_SIEVED", 1024)
+    mp.setattr(arith, "_PRIMES", arith._sieve(1024))
+
+
+_ALL = small_primes()
+_SMALL = [p for p in _ALL if p < 1024]
+_MIDDLE = [p for p in _ALL if 1024 < p < 10**6 - 1000]
+_TOP = [p for p in _ALL if p > 10**6 - 1000]  # just below TRIAL_LIMIT
+_BEYOND = [1000003, 1000033, 1000037]  # two of them pass TRIAL_LIMIT**2 and need rho
+
+_factor = st.one_of(
+    st.sampled_from(_SMALL), st.sampled_from(_MIDDLE), st.sampled_from(_TOP), st.sampled_from(_BEYOND)
+)
+# at most one huge prime, so rho only ever splits off factors near TRIAL_LIMIT;
+# M89 is a probable prime, so it clears the proven flag
+_huge = st.sampled_from((1, 10**12 + 39, M89))
+
+
+def test_sieve_matches_trial_division():
+    for bound in (3, 4, 10, 1024, 1025, 3000):
+        assert arith._sieve(bound) == tuple(n for n in range(bound) if _trial_is_prime(n)), bound
+
+
+def test_small_primes_is_every_prime_below_the_trial_wall():
+    ps = small_primes()
+    assert len(ps) == 78498 and ps[-1] == 999983
+    assert list(ps) == sorted(set(ps))
+
+
+@given(
+    st.lists(st.tuples(_factor, st.integers(min_value=1, max_value=3)), min_size=1, max_size=3),
+    _huge,
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=1, max_value=10**4),
+    st.sampled_from((-1, 1)),
+)
+@settings(max_examples=25, deadline=None)
+def test_cold_table_agrees_with_full_table(parts, huge, x, y, sign):
+    n = huge
+    for p, e in parts:
+        n *= p**e
+
+    def results():
+        return (
+            factorize(sign * n),
+            is_fundamental_discriminant(sign * n),
+            is_fundamental_discriminant(sign * 4 * n),
+            _unit_prime_candidates(n * x, n * y),
+            _unit_prime_candidates(n**4 * x, n**6 * y),
+            _unit_prime_candidates(0, n**6 * y),
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        _cold_table(mp)
+        cold = results()
+    small_primes()
+    assert cold == results()
+
+
+def test_table_grows_by_prefixes_of_small_primes(monkeypatch):
+    full = small_primes()
+    _cold_table(monkeypatch)
+    table = arith._PRIMES
+    sizes = []
+    while True:
+        more = arith._primes_from(len(table))
+        if not more:
+            break
+        table += more
+        sizes.append(arith._SIEVED)
+        assert table == arith._PRIMES == full[: len(table)]
+        # every prime below the sieve bound, and nothing else
+        following = full[len(table)] if len(table) < len(full) else TRIAL_LIMIT
+        assert table[-1] < arith._SIEVED <= following
+    assert table == full
+    assert sizes[0] == 2048 and sizes[-1] == TRIAL_LIMIT
+
+
+def test_trial_division_grows_the_table_only_as_far_as_needed(monkeypatch):
+    _cold_table(monkeypatch)
+    assert factorize(1021 * 1019 * 7).factors == ((7, 1), (1019, 1), (1021, 1))
+    assert is_fundamental_discriminant(-1019 * 1021)
+    assert arith._SIEVED == 1024
+    assert factorize(1031 * 1033).factors == ((1031, 1), (1033, 1))
+    assert arith._SIEVED == 2048

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import watkins.certify as certify
+from watkins import ecq
 from watkins.arith import TRIAL_LIMIT, enumerate_fundamental_discriminants, factorize, is_fundamental_discriminant
 from watkins.certify import (
     CERT_FIELDS,
@@ -238,6 +239,13 @@ def test_verify_gate_order_and_reasons(records):
     assert verify_twist(lied, 5).verdict_full == "INAPPLICABLE(conductor_divisibility)"
 
     assert verify_twist(records["15a8"], 5).verdict_full == "INAPPLICABLE(missing_invariant)"
+
+
+def test_broken_invariant_is_inapplicable_not_a_traceback(records, monkeypatch):
+    # a Tate table that claims f = 3 at p >= 5 breaks the conductor-exponent cap
+    monkeypatch.setattr(ecq, "_tate_table", lambda m, p, n: ecq.LocalReduction(p, "I0*", 3, "additive"))
+    cert = verify_twist(records["17a1"], 5)
+    assert cert.verdict_full == "INAPPLICABLE(invariant_violation)"
 
 
 def test_verify_budget_downgrade(records):

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import watkins
 from watkins.certify import CERT_FIELDS
 from watkins.cli import main
 
@@ -291,3 +296,32 @@ def test_scan_rejects_bad_jobs(capsys):
         capsys, "scan", "--label", "17a1", "--offline", "--d-bound", "10", "--jobs", "0"
     )
     assert code == 2 and "--jobs" in err
+
+
+# --- a cold process ---------------------------------------------------------------
+
+
+def _fresh_python(code: str) -> str:
+    src = str(Path(watkins.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    out = _fresh_python("import sys, watkins.cli; print('multiprocessing' in sys.modules)")
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("label, d", [("17a1", -150071), ("32a1", -199999), ("49a1", -199967), ("14a1", 5)])
+def test_cold_verify_sieves_only_small_primes(label, d, tmp_path):
+    # a single verify with |d| <= 2*10^5 needs the primes below 10^4 at most
+    code = (
+        "from watkins import arith, cli; "
+        f"code = cli.main(['verify', '--label', '{label}', '--offline', '--d', '{d}', '--out', r'{tmp_path / 'c.json'}']); "
+        "print(code, arith._SIEVED)"
+    )
+    code, sieved = map(int, _fresh_python(code).split())
+    assert code in (0, 1)
+    assert sieved < 10**4

@@ -172,6 +172,45 @@ def test_minimal_model_checks_raise_typed_errors(monkeypatch):
 # --- local reduction and conductors ---------------------------------------------
 
 
+def _prep_step7_reference(w, p):
+    # the search as it stood before it tested residues on coefficient tuples:
+    # one full model per trial shift
+    p2, p3 = p * p, p**3
+    for s in range(p2):
+        for t in range(p3):
+            c = ecq._shift(w, 0, s, t)
+            if c.a1 % p == 0 and c.a2 % p == 0 and c.a3 % p2 == 0 and c.a4 % p2 == 0 and c.a6 % p3 == 0:
+                return c
+    return None
+
+
+@given(
+    st.sampled_from((2, 3)),
+    st.tuples(*[st.integers(min_value=-30, max_value=30)] * 5),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-50, max_value=50),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_prep_step7_matches_model_by_model_search(p, xs, s, t, normalizable):
+    if normalizable:
+        # a model in step-7 form, moved off it by an (s, t) shift
+        a1, a2, a3, a4, a6 = (x * p**k for x, k in zip(xs, (1, 1, 2, 2, 3)))
+    else:
+        a1, a2, a3, a4, a6 = xs
+    try:
+        w = ecq._shift(WeierstrassModel(a1, a2, a3, a4, a6), 0, s, t)
+    except SingularModel:
+        return
+    want = _prep_step7_reference(w, p)
+    if want is None:
+        assert not normalizable
+        with pytest.raises(InvariantViolation):
+            ecq._prep_step7(w, p)
+    else:
+        assert ecq._prep_step7(w, p) == want
+
+
 def test_kodaira_table(records):
     for (label, p), (kod, f, kind) in KODAIRA.items():
         red = tate_local(records[label].minimal_model, p)
@@ -298,6 +337,21 @@ def test_build_curve_record_computes_everything():
     assert rec.conductor.value == 17
     assert rec.two_torsion_rank == 1
     assert rec.min_disc.value == -(17**4)
+
+
+def test_build_curve_record_conductor_matches_conductor(fixture_rows, monkeypatch):
+    # one minimal model and one factorization of its discriminant per record
+    models, factored = [], []
+    minimal_model_, factorize_ = ecq.minimal_model, ecq.factorize
+    monkeypatch.setattr(ecq, "minimal_model", lambda m: models.append(m) or minimal_model_(m))
+    monkeypatch.setattr(ecq, "factorize", lambda n, **kw: factored.append(n) or factorize_(n, **kw))
+    for label, row in fixture_rows.items():
+        models.clear()
+        factored.clear()
+        rec = build_curve_record(row.ainvs, label=label)
+        assert len(models) == 1 and factored.count(rec.minimal_model.disc) == 1, label
+        assert rec.conductor == conductor(rec.minimal_model), label
+    assert len(fixture_rows) == 21
 
 
 def test_build_curve_record_validates_invariants():
