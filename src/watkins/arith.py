@@ -313,24 +313,26 @@ def factorize(n: int, *, rho_rounds: int = 64) -> Factorization:
 
 
 def _factor_large(m: int, found: dict, rho_rounds: int) -> bool:
-    """Split m (> TRIAL_LIMIT**2, no small factors) into found. Returns proven flag."""
+    """Split m (> TRIAL_LIMIT**2, no small factors) into found. Returns proven flag.
+
+    A perfect power's base is split once, and its primes count k times."""
     proven = True
-    stack = [m]
+    stack = [(m, 1)]
     while stack:
-        x = stack.pop()
+        x, k = stack.pop()
         ok, was_proven = _is_prime(x)
         if ok:
             proven = proven and was_proven
-            found[x] = found.get(x, 0) + 1
+            found[x] = found.get(x, 0) + k
             continue
         pp = _perfect_power(x)
         if pp is not None:
-            base, k = pp
-            stack.extend([base] * k)
+            base, e = pp
+            stack.append((base, k * e))
             continue
         d = _brent_rho(x, rho_rounds)
-        stack.append(d)
-        stack.append(x // d)
+        stack.append((d, k))
+        stack.append((x // d, k))
     return proven
 
 

@@ -103,11 +103,12 @@ def faltings_delta_v2(e1: WeierstrassModel, e2: WeierstrassModel) -> tuple[Fract
     """v2 of |disc1/disc2|^(1/6) for minimal models of a twist pair.
 
     Returns the valuation and whether it obeys the |.| <= 3 bound.
+    Equal j-invariants and the bound are tested in integers.
     """
-    if e1.j != e2.j:
+    if e1.c4**3 * e2.disc != e2.c4**3 * e1.disc:
         raise NotTwistPair("curves have different j-invariants")
-    val = Fraction(v2(e1.disc) - v2(e2.disc), 6)
-    return val, abs(val) <= 3
+    dv = v2(e1.disc) - v2(e2.disc)
+    return Fraction(dv, 6), abs(dv) <= 18
 
 
 def _v2_moddeg(curve: CurveRecord, assume_manin: bool) -> tuple[int, list[str]]:

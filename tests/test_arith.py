@@ -1,7 +1,7 @@
 """Valuations, factoring, and fundamental discriminants."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from watkins import arith
@@ -178,6 +178,16 @@ def test_factorize_perfect_power_of_large_prime():
     assert f.factors == ((1000003, 3),) and f.proven
 
 
+def test_factorize_splits_the_base_of_a_perfect_power_once(monkeypatch):
+    splits = []
+    rho = arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho", lambda n, rounds: splits.append(n) or rho(n, rounds))
+    base = 1000003 * 1000033
+    f = factorize(base**6 * 7)
+    assert f.factors == ((7, 1), (1000003, 6), (1000033, 6)) and f.proven
+    assert splits == [base]
+
+
 @given(st.integers(min_value=2, max_value=10**10))
 @settings(max_examples=300)
 def test_factorize_roundtrip(n):
@@ -318,8 +328,8 @@ _BEYOND = [1000003, 1000033, 1000037]  # two of them pass TRIAL_LIMIT**2 and nee
 _factor = st.one_of(
     st.sampled_from(_SMALL), st.sampled_from(_MIDDLE), st.sampled_from(_TOP), st.sampled_from(_BEYOND)
 )
-# at most one huge prime, so rho only ever splits off factors near TRIAL_LIMIT;
-# M89 is a probable prime, so it clears the proven flag
+# M89 is a probable prime, so it clears the proven flag; rho needs about 10^6
+# steps to split the product of both huge primes, so that is one fixed example
 _huge = st.sampled_from((1, 10**12 + 39, M89))
 
 
@@ -342,6 +352,7 @@ def test_small_primes_is_every_prime_below_the_trial_wall():
     st.sampled_from((-1, 1)),
 )
 @settings(max_examples=25, deadline=None)
+@example(parts=[(3, 2)], huge=(10**12 + 39) * M89, x=3, y=5, sign=-1)
 def test_cold_table_agrees_with_full_table(parts, huge, x, y, sign):
     n = huge
     for p, e in parts:

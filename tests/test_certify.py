@@ -127,6 +127,39 @@ def v2_diff(e1, e2):
     return v2(e1.disc) - v2(e2.disc)
 
 
+def _delta_by_fractions(e1, e2):
+    # the height check as it stood with j-invariants and the bound as Fractions
+    if e1.j != e2.j:
+        raise NotTwistPair("curves have different j-invariants")
+    val = Fraction(v2_diff(e1, e2), 6)
+    return val, abs(val) <= 3
+
+
+def _delta_or_error(fn, e1, e2):
+    try:
+        return fn(e1, e2)
+    except NotTwistPair:
+        return "not_twist_pair"
+
+
+@given(
+    st.sampled_from(["11a1", "14a1", "17a1", "24a1", "27a1", "32a2", "37a1", "49a1", "256a1"]),
+    st.sampled_from(["11a1", "11a3", "15a8", "17a1", "20a1", "36a1", "49a1"]),
+    st.integers(min_value=-(10**7), max_value=10**7).filter(bool),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_height_check_matches_fractions(records, label, other, d, minimal):
+    from watkins.ecq import minimal_model
+
+    m = records[label].minimal_model
+    tw = quadratic_twist(m, d)  # non-minimal twists also cross the |.| <= 3 bound
+    if minimal:
+        tw = minimal_model(tw).model
+    for e1, e2 in ((m, tw), (tw, m), (m, records[other].minimal_model), (tw, records[other].minimal_model)):
+        assert _delta_or_error(faltings_delta_v2, e1, e2) == _delta_or_error(_delta_by_fractions, e1, e2)
+
+
 # --- thresholds ------------------------------------------------------------------
 
 

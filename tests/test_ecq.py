@@ -1,12 +1,16 @@
 """Weierstrass models, reduction, conductors, and point counts."""
 
+import dataclasses
+import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from watkins import ecq
+from watkins.arith import small_primes
 from watkins.ecq import (
     WeierstrassModel,
     a_p,
@@ -84,6 +88,38 @@ def test_j_invariant_cm_value(records):
     assert records["32a2"].minimal_model.j == 1728
 
 
+@given(st.tuples(*[st.integers(min_value=-(10**6), max_value=10**6)] * 5))
+@settings(max_examples=200, deadline=None)
+def test_eager_invariants_match_textbook_formulas(ainvs):
+    a1, a2, a3, a4, a6 = ainvs
+    b2 = a1**2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    c4 = b2**2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+    if disc == 0:
+        with pytest.raises(SingularModel):
+            WeierstrassModel(*ainvs)
+        return
+    m = WeierstrassModel(*ainvs)
+    assert (m.b2, m.b4, m.b6, m.b8, m.c4, m.c6, m.disc) == (b2, b4, b6, b8, c4, c6, disc)
+    assert 1728 * disc == c4**3 - c6**2
+
+
+def test_model_identity_reads_only_the_a_invariants(records):
+    assert [f.name for f in dataclasses.fields(WeierstrassModel) if f.compare] == ["a1", "a2", "a3", "a4", "a6"]
+    rec = records["17a1"]
+    m = rec.minimal_model
+    twin = WeierstrassModel(*m.ainvs())
+    twin.__dict__.update(b2=0, b4=0, b6=0, b8=0, c4=0, c6=0, disc=1)
+    assert twin == m and hash(twin) == hash(m)
+    assert repr(twin) == repr(m) == "WeierstrassModel(a1=1, a2=-1, a3=1, a4=-1, a6=-14)"
+    twin_rec = dataclasses.replace(rec, minimal_model=twin)
+    assert twin_rec == rec and hash(twin_rec) == hash(rec)
+
+
 # --- coordinate changes ---------------------------------------------------------
 
 
@@ -92,6 +128,13 @@ def test_transform_scaling_example():
     small = transform_model(big, 4)
     assert small.ainvs() == (0, 0, 0, -1, 0)
     assert big.disc == small.disc * 4**12
+
+
+def test_transform_checks_the_discriminant():
+    m = WeierstrassModel(0, 0, 0, -256, 0)
+    m.__dict__["disc"] += 1  # a model whose stored discriminant is off
+    with pytest.raises(InvariantViolation):
+        transform_model(m, 4)
 
 
 def test_transform_rejects_non_integral():
@@ -311,6 +354,93 @@ def test_ap_naive_and_bsgs_agree(records):
         m = records[label].minimal_model
         for p in (101, 997, 10007):
             assert a_p(m, p, naive_limit=3) == a_p(m, p, naive_limit=10**5), (label, p)
+
+
+def _two_torsion_models(records):
+    return [(label, rec.minimal_model) for label, rec in sorted(records.items()) if rec.two_torsion_rank]
+
+
+def test_bsgs_matches_point_count_on_every_prime_to_10k(records):
+    primes = [p for p in small_primes() if 230 <= p < 10**4]
+    for label, m in _two_torsion_models(records):
+        for p in primes:
+            if m.disc % p:
+                assert a_p(m, p, naive_limit=3) == ecq._ap_naive(m, p), (label, p)
+
+
+def test_bsgs_matches_point_count_at_seeded_large_primes(records):
+    rng = random.Random(2)
+    models = _two_torsion_models(records)
+    for p in rng.sample([p for p in small_primes() if 10**4 < p <= 2 * 10**5], 20):
+        label, m = rng.choice(models)
+        if m.disc % p:
+            assert a_p(m, p, naive_limit=3) == ecq._ap_naive(m, p), (label, p)
+
+
+def test_default_limit_counts_points_up_to_the_mestre_floor(records, monkeypatch):
+    # up to p = 229 a curve and its twist may both lack a point whose order
+    # has one multiple in the Hasse window, and BSGS gives up
+    small = [p for p in small_primes() if 2 < p <= 229]
+    gave_up = 0
+    for rec in records.values():
+        m = rec.minimal_model
+        for p in small:
+            if m.disc % p:
+                try:
+                    assert a_p(m, p, naive_limit=3) == ecq._ap_naive(m, p), (rec.label, p)
+                except BudgetExceeded:
+                    gave_up += 1
+    assert gave_up
+
+    def no_bsgs(*args):
+        raise AssertionError("a_p ran BSGS at or below the Mestre floor")
+
+    monkeypatch.setattr(ecq, "_curve_order", no_bsgs)
+    for rec in records.values():
+        m = rec.minimal_model
+        for p in small:
+            if m.disc % p:
+                assert a_p(m, p) == ecq._ap_naive(m, p), (rec.label, p)
+
+
+def _order_by_exact_orders(a, b, p, rng, tries):
+    # the path the one-annihilator shortcut skips: the lcm of exact point orders
+    lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+    L = 1
+    for _ in range(tries):
+        P = ecq._random_point(a, b, p, rng)
+        L = lcm(L, ecq._exact_order(P, ecq._bsgs_annihilators(P, lo, hi, a, p)[0], a, p))
+        k0 = -(-lo // L) * L
+        if k0 + L > hi:
+            return k0
+    return None
+
+
+def test_one_annihilator_shortcut_matches_exact_order_path():
+    rng = random.Random(20261018)
+    primes = [p for p in small_primes() if 230 <= p < 20000]
+    for _ in range(60):
+        p = rng.choice(primes)
+        # y^2 = x^3 + a x + b through (r, 0): a random point and one of order 2
+        a, r = rng.randrange(p), rng.randrange(p)
+        b = -(r**3 + a * r) % p
+        if (4 * a**3 + 27 * b * b) % p == 0:
+            continue
+        lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+        for P in (ecq._random_point(a, b, p, rng), (r, 0)):
+            ns = ecq._bsgs_annihilators(P, lo, hi, a, p)
+            every = [n for n in range(lo, hi + 1) if ecq._ec_mul(n, P, a, p) is None]
+            if ecq._exact_order(P, every[0], a, p) > isqrt(hi - lo + 1):
+                assert ns == every, (a, b, p, P)
+            else:
+                assert len(ns) >= 2 and set(ns) <= set(every), (a, b, p, P)
+        seed = rng.random()
+        got = ecq._order_from_points(a, b, p, random.Random(seed), 12)
+        assert got == _order_by_exact_orders(a, b, p, random.Random(seed), 12), (a, b, p)
+        # Euler's criterion gives each x's 0, 1 or 2 points; the 1 is the point at infinity
+        euler = (pow(x**3 + a * x + b, (p - 1) // 2, p) for x in range(p))
+        count = 1 + sum(1 + (1 if c == 1 else -1 if c else 0) for c in euler)
+        assert ecq._curve_order(a, b, p) == count, (a, b, p)
 
 
 def test_ap_hasse_bound(records):
