@@ -1,5 +1,8 @@
 """Integer arithmetic: valuations, factoring, fundamental discriminants.
 
+`scan` and `density` share one sieve: two bytearrays holding omega(k)
+and whether k is squarefree, for every k up to the bound.
+
 Factoring is trial division to TRIAL_LIMIT, then Brent's rho under an
 explicit round budget.  Primality is Miller-Rabin with the deterministic
 base set below the proven bound, and a seeded probabilistic fallback
@@ -283,10 +286,6 @@ class Factorization:
             out = [d * p**i for d in out for i in range(e + 1)]
         return sorted(out)
 
-    def verify_primality(self) -> bool:
-        """Recheck every factor; True iff all pass deterministic MR."""
-        return all(_is_prime(p) == (True, True) for p, _ in self.factors)
-
 
 def factorize(n: int, *, rho_rounds: int = 64) -> Factorization:
     """Factor a nonzero integer.
@@ -336,134 +335,105 @@ def _factor_large(m: int, found: dict, rho_rounds: int) -> bool:
     return proven
 
 
-def omega(f: Factorization) -> int:
-    """Number of distinct primes."""
-    return f.omega
+def is_fundamental(f: Factorization) -> bool:
+    """Whether f.value is 1 or the discriminant of a quadratic field.
 
-
-def _squarefree(n: int) -> bool:
-    # n > 0; stops at the first square factor it meets
-    if n % 4 == 0:
+    The odd part must be squarefree and v2 must be 0, 2 or 3: with v2 = 0
+    the value is 1 (mod 4), with v2 = 2 its quarter is 3 (mod 4), and
+    with v2 = 3 its quarter is 2 (mod 4) already.
+    """
+    if any(e > 1 for p, e in f.factors if p != 2):
         return False
-    lim = math.isqrt(n)
-    primes, i = _PRIMES, 0
-    while primes:
-        for p in primes:
-            if p > lim:
-                return True
-            if n % p == 0:
-                n //= p
-                if n % p == 0:
-                    return False
-                lim = math.isqrt(n)
-        i += len(primes)
-        primes = _primes_from(i)
-    # any square factor left has its prime above the trial wall,
-    # so n would need to reach TRIAL_LIMIT**2
-    if n < TRIAL_LIMIT * TRIAL_LIMIT:
-        return True
-    found: dict[int, int] = {}
-    _factor_large(n, found, 64)
-    return all(e == 1 for e in found.values())
+    e2 = f.v(2)
+    if e2 == 0:
+        return f.value % 4 == 1
+    if e2 == 2:
+        return f.value // 4 % 4 == 3
+    return e2 == 3
 
 
 def is_fundamental_discriminant(d: int) -> bool:
     """True for d = 1 and for discriminants of quadratic fields.
 
     Either d ≡ 1 (mod 4) and squarefree, or d = 4m with m ≡ 2, 3
-    (mod 4) and m squarefree.
+    (mod 4) and m squarefree.  Only d ≡ 0, 1 (mod 4) is factored.
     """
-    if d == 0:
-        return False
-    if d == 1:
-        return True
-    if d % 4 == 1:
-        return _squarefree(abs(d))
-    if d % 4 == 0:
-        m = d // 4
-        if m % 4 in (2, 3):
-            return _squarefree(abs(m))
-    return False
+    return d != 0 and d % 4 < 2 and is_fundamental(factorize(d))
 
 
-@dataclass(frozen=True)
-class FundamentalDiscriminant:
-    d: int
-    factorization: Factorization
+def factor_fundamental(d: int) -> Factorization:
+    """factorize(d) for a fundamental discriminant d other than 1.
 
-    def __post_init__(self):
-        if not is_fundamental_discriminant(self.d):
-            raise ValueError(f"{self.d} is not a fundamental discriminant")
-        if self.factorization.value != self.d:
-            raise ValueError("factorization does not match d")
-
-    @property
-    def omega(self) -> int:
-        return self.factorization.omega
+    Raises ValueError for any other d, factoring only d ≡ 0, 1 (mod 4).
+    """
+    if d in (0, 1) or d % 4 > 1 or not is_fundamental(f := factorize(d)):
+        raise ValueError(f"{d} is not a non-trivial fundamental discriminant")
+    return f
 
 
-def enumerate_fundamental_discriminants(
-    bound: int, *, min_omega: int = 0, sign: str = "both"
-) -> Iterator[FundamentalDiscriminant]:
-    """Fundamental discriminants with 1 < |d| <= bound.
+# _INCREMENT[k] = k + 1: translating a slice through it adds one to each byte
+_INCREMENT = bytes(range(1, 256)) + b"\0"
+
+
+def _omega_sieve(n: int) -> tuple[bytearray, bytearray]:
+    """(omega, squarefree), indexed by 0 <= k <= n.
+
+    omega[k] is the number of distinct primes of k, and squarefree[k]
+    is 1 when no square above 1 divides k, else 0.  omega is its own
+    prime sieve: once every prime below p has been counted, p is prime
+    exactly when omega[p] is still 0, so no list of primes is built.
+    """
+    omega = bytearray(n + 1)
+    squarefree = bytearray([1]) * (n + 1)
+    p = 2
+    while 0 < p <= n:
+        omega[p::p] = omega[p::p].translate(_INCREMENT)
+        q = p * p
+        if q <= n:
+            squarefree[q::q] = bytes(len(range(q, n + 1, q)))
+        p = omega.find(0, p + 1)
+    return omega, squarefree
+
+
+# the signs of the fundamental discriminants d with |d| = a, keyed on a % 16, for
+# a odd and squarefree, a = 4m with m odd and squarefree, or a = 8m, m odd and squarefree
+_SIGNS = {r: (1,) if r % 4 == 1 else (-1,) for r in range(1, 16, 2)} | {4: (-1,), 8: (1, -1), 12: (1,)}
+
+
+def enumerate_fundamental_discriminants(bound: int, *, min_omega: int = 0) -> Iterator[int]:
+    """Fundamental discriminants d with 1 < |d| <= bound and omega(d) >= min_omega.
 
     Ordered by |d| ascending, positive before negative at equal |d|.
-    d = 1 is never yielded.  sign is "both", "positive" or "negative".
-    min_omega filters on the number of distinct prime factors.
+    d = 1 is never yielded.
     """
-    import numpy as np
-
-    if sign not in ("both", "positive", "negative"):
-        raise ValueError(f"bad sign {sign!r}")
     if bound < 3:
         return
-    n = bound + 1
-    omega_arr = np.zeros(n, dtype=np.uint8)
-    sqfree = np.ones(n, dtype=bool)
-    for p in range(2, n):
-        if omega_arr[p] == 0:  # p is prime: untouched by smaller primes
-            omega_arr[p::p] += 1
-            if p * p < n:
-                sqfree[p * p :: p * p] = False
-
-    def _fact(k: int) -> Factorization:
-        return factorize(k)
-
-    for a in range(3, bound + 1):
-        yielded_omega = int(omega_arr[a])
-        if a % 4 == 1 and sqfree[a]:
-            pos_ok, neg_ok = True, False
-        elif a % 4 == 0:
-            m = a // 4
-            pos_ok = m % 4 == 3 and sqfree[m]
-            neg_ok = m % 4 == 1 and sqfree[m]
-            # 4m with m ≡ 2 (mod 4): m even, handled via m' = m//2 odd;
-            # both signs possible, decided by -a ≡ 0 and a ≡ 0 cases below
-            if m % 4 == 2 and sqfree[m]:
-                pos_ok = neg_ok = True
-        else:
-            pos_ok = neg_ok = False
-        if a % 4 == 3 and sqfree[a]:
-            neg_ok = True
-        if pos_ok and sign != "negative" and yielded_omega >= min_omega:
-            yield FundamentalDiscriminant(a, _fact(a))
-        if neg_ok and sign != "positive" and yielded_omega >= min_omega:
-            yield FundamentalDiscriminant(-a, _fact(-a))
+    omega, squarefree = _omega_sieve(bound)
+    # fund[a] = 1 iff a is odd and squarefree, or a = 4m or 8m with m odd and squarefree
+    fund = bytearray(bound + 1)
+    odd = squarefree[1::2]  # m = 1, 3, 5, ...
+    fund[1::2] = odd
+    fund[4::8] = odd[: len(range(4, bound + 1, 8))]
+    fund[8::16] = odd[: len(range(8, bound + 1, 16))]
+    fund[1] = 0  # d = 1 is not yielded, and -1 is not a discriminant
+    for a in compress(range(bound + 1), fund):
+        if omega[a] >= min_omega:
+            for sign in _SIGNS[a % 16]:
+                yield sign * a
 
 
-def count_omega_at_most(x: int, a: int, *, limit: int = 10**7) -> int:
+# the largest x count_omega_at_most sieves: two bytearrays of x bytes each
+_OMEGA_COUNT_LIMIT = 10**7
+
+
+def count_omega_at_most(x: int, a: int) -> int:
     """#{1 <= n <= x : omega(n) <= a}, by sieve.  n = 1 has omega 0."""
-    import numpy as np
-
     if x < 1:
         return 0
-    if x > limit:
-        raise BudgetExceeded(f"omega-count sieve capped at {limit}")
-    omega_arr = np.zeros(x + 1, dtype=np.uint8)
-    for p in range(2, x + 1):
-        if omega_arr[p] == 0:
-            omega_arr[p::p] += 1
-    return int(np.count_nonzero(omega_arr[1:] <= a))
+    if x > _OMEGA_COUNT_LIMIT:
+        raise BudgetExceeded(f"omega-count sieve capped at {_OMEGA_COUNT_LIMIT}")
+    omega, _ = _omega_sieve(x)
+    return omega.translate(bytes(k <= a for k in range(256))).count(1, 1)
 
 
 def prime_discriminant_parts(d: int) -> tuple[tuple[int, Factorization], ...]:
@@ -473,9 +443,7 @@ def prime_discriminant_parts(d: int) -> tuple[tuple[int, Factorization], ...]:
     discriminants: p* = (-1)^((p-1)/2) p for odd p, and one of
     -4, 8, -8 at 2.  Returns the parts sorted by |part|.
     """
-    if not is_fundamental_discriminant(d) or d == 1:
-        raise ValueError(f"{d} is not a non-trivial fundamental discriminant")
-    f = factorize(d)
+    f = factor_fundamental(d)
     parts: list[int] = []
     two_exp = f.v(2)
     for p, _ in f.factors:

@@ -23,15 +23,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .arith import (
-    Factorization,
-    factorize,
-    is_fundamental_discriminant,
-    v2,
-)
+from .arith import Factorization, factor_fundamental, v2
 from .ecq import (
     CurveRecord,
     WeierstrassModel,
@@ -70,11 +64,6 @@ def local_v2_contribution(p: int, ap: int) -> int:
     return v2(p - 1) + v2(p + 1 - ap) + v2(p + 1 + ap)
 
 
-def petersson_v2_lower(pairs) -> int:
-    """Sum of local contributions minus one, over (p, a_p) pairs."""
-    return sum(local_v2_contribution(p, ap) for p, ap in pairs) - 1
-
-
 def moddeg_v2_lower_exact(v2_moddeg: int, pairs) -> int:
     """v2(m/c^2) - 4 + sum of the local contributions."""
     return v2_moddeg - 4 + sum(local_v2_contribution(p, ap) for p, ap in pairs)
@@ -99,16 +88,15 @@ def twist_rank_upper(twist_cond: Factorization, d_fact: Factorization, n_fact: F
     return exact, coarse
 
 
-def faltings_delta_v2(e1: WeierstrassModel, e2: WeierstrassModel) -> tuple[Fraction, bool]:
-    """v2 of |disc1/disc2|^(1/6) for minimal models of a twist pair.
+def faltings_delta_v2(e1: WeierstrassModel, e2: WeierstrassModel) -> bool:
+    """Whether v2 of |disc1/disc2|^(1/6) obeys the |.| <= 3 bound.
 
-    Returns the valuation and whether it obeys the |.| <= 3 bound.
-    Equal j-invariants and the bound are tested in integers.
+    e1, e2 are minimal models of a twist pair.  Equal j-invariants and
+    the bound are tested in integers.
     """
     if e1.c4**3 * e2.disc != e2.c4**3 * e1.disc:
         raise NotTwistPair("curves have different j-invariants")
-    dv = v2(e1.disc) - v2(e2.disc)
-    return Fraction(dv, 6), abs(dv) <= 18
+    return abs(v2(e1.disc) - v2(e2.disc)) <= 18
 
 
 def _v2_moddeg(curve: CurveRecord, assume_manin: bool) -> tuple[int, list[str]]:
@@ -195,23 +183,16 @@ def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
 
 
 class CertifyContext:
-    """Per-curve caches shared across many twists of one base curve."""
+    """The a_p values of one base curve, shared across many of its twists."""
 
-    def __init__(self, curve: CurveRecord, *, assume_manin: bool = False):
+    def __init__(self, curve: CurveRecord):
         self.curve = curve
-        self.assume_manin = assume_manin
         self._ap: dict[int, int] = {}
-        self._v2m: tuple[int, list[str]] | None = None
 
     def ap(self, p: int) -> int:
         if p not in self._ap:
             self._ap[p] = a_p(self.curve.minimal_model, p)
         return self._ap[p]
-
-    def v2_moddeg(self) -> tuple[int, list[str]]:
-        if self._v2m is None:
-            self._v2m = _v2_moddeg(self.curve, self.assume_manin)
-        return self._v2m
 
 
 @dataclass(frozen=True)
@@ -263,11 +244,12 @@ def verify_twist(
     known modular degree (and Manin constant, unless assume_manin),
     and its conductor must divide the twisted conductor.  Budget or
     data errors downgrade to INAPPLICABLE with a snake_case reason
-    rather than escaping.
+    rather than escaping.  d is factored once, before the gates: a d
+    that is not a fundamental discriminant raises ValueError, and a
+    factoring budget error on d propagates.
     """
-    if d == 1 or not is_fundamental_discriminant(d):
-        raise ValueError(f"{d} is not a non-trivial fundamental discriminant")
-    ctx = context or CertifyContext(curve, assume_manin=assume_manin)
+    d_fact = factor_fundamental(d)
+    ctx = context or CertifyContext(curve)
     name = _curve_name(curve)
     try:
         if curve.two_torsion_rank < 1:
@@ -275,9 +257,8 @@ def verify_twist(
         minimal, witness = is_minimal_twist(curve)
         if not minimal:
             raise NotMinimalTwist(f"the twist by {witness} has a smaller conductor")
-        v2m, assumptions = ctx.v2_moddeg()
+        v2m, assumptions = _v2_moddeg(curve, assume_manin)
 
-        d_fact = factorize(d)
         twist_min = minimal_model(quadratic_twist(curve.minimal_model, d)).model
         # Delta_min(E^D) divides 2^a * 3^b * d^6 * Delta_min(E)
         twist_cond = conductor_from_support(
@@ -288,11 +269,9 @@ def verify_twist(
         if twist_cond.value % curve.conductor.value:
             raise ConductorDivisibility(f"N = {curve.conductor.value} does not divide N_D = {twist_cond.value}")
 
-        _delta, within = faltings_delta_v2(curve.minimal_model, twist_min)
-        if not within:
+        if not faltings_delta_v2(curve.minimal_model, twist_min):
             raise InvariantViolation("the twist pair breaks the height-comparison bound")
 
-        assumptions = list(assumptions)
         if not twist_cond.proven:
             assumptions.append("probabilistic_prime")
 
@@ -386,7 +365,3 @@ def obj_to_flat(obj: dict) -> list[str]:
         else:
             row.append(json.dumps(v, separators=(",", ":")))
     return row
-
-
-def certificate_to_flat(cert: TwistCertificate) -> list[str]:
-    return obj_to_flat(certificate_to_obj(cert))

@@ -100,16 +100,18 @@ def _cmd_verify(args) -> int:
 
 
 _SCAN_CTX: CertifyContext | None = None
+_SCAN_ASSUME_MANIN = False
 
 
 def _scan_init(record: CurveRecord, assume_manin: bool) -> None:
-    global _SCAN_CTX
-    _SCAN_CTX = CertifyContext(record, assume_manin=assume_manin)
+    global _SCAN_CTX, _SCAN_ASSUME_MANIN
+    _SCAN_CTX = CertifyContext(record)
+    _SCAN_ASSUME_MANIN = assume_manin
 
 
 def _scan_one(d: int) -> dict:
     ctx = _SCAN_CTX
-    cert = verify_twist(ctx.curve, d, assume_manin=ctx.assume_manin, context=ctx)
+    cert = verify_twist(ctx.curve, d, assume_manin=_SCAN_ASSUME_MANIN, context=ctx)
     return certificate_to_obj(cert)
 
 
@@ -124,10 +126,7 @@ def _cmd_scan(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     record = _resolve_record(args)
-    ds = [
-        fd.d
-        for fd in enumerate_fundamental_discriminants(args.d_bound, min_omega=args.min_omega)
-    ]
+    ds = list(enumerate_fundamental_discriminants(args.d_bound, min_omega=args.min_omega))
     counts = {"CERTIFIED": 0, "INCONCLUSIVE": 0, "INAPPLICABLE": 0}
 
     with ExitStack() as stack:

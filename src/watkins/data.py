@@ -120,18 +120,6 @@ class CurveCache:
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(row_to_line(row) + "\n")
 
-    def compact(self) -> int:
-        """Deduplicate by label, keeping the newest; atomic rewrite."""
-        rows: dict[str, CurveDataRow] = {}
-        for row in self.iter_rows():
-            rows[row.label] = row
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for row in rows.values():
-                fh.write(row_to_line(row) + "\n")
-        os.replace(tmp, self.path)
-        return len(rows)
-
 
 @lru_cache(maxsize=1)
 def load_fixtures() -> dict[str, CurveDataRow]:
@@ -243,11 +231,6 @@ class LmfdbClient:
         if not data:
             raise NotFound(f"no remote row for label {label}")
         return _row_from_remote(data[0], source="lmfdb")
-
-    def by_conductor_range(self, lo: int, hi: int) -> list[CurveDataRow]:
-        # range serialization "lo..hi" mirrors the table's query syntax
-        data = self._get({"conductor": f"{lo}..{hi}", "_format": "json"})
-        return [_row_from_remote(obj, source="lmfdb") for obj in data]
 
 
 def fetch_curve(

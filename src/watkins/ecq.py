@@ -42,7 +42,8 @@ class WeierstrassModel:
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with integer a_i.
 
     b2, b4, b6, b8, c4, c6 and disc are computed once, on construction;
-    equality, hashing and repr read the a_i only.
+    equality, hashing and repr read the a_i only.  The a_i are taken as
+    given: `build_curve_record` checks a-invariants from outside.
     """
 
     a1: int
@@ -59,12 +60,6 @@ class WeierstrassModel:
     disc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            v = getattr(self, name)
-            iv = int(v)
-            if iv != v:
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, iv)
         a1, a2, a3, a4, a6 = self.ainvs()
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
@@ -769,7 +764,11 @@ def build_curve_record(
         raise ValueError("the Manin constant is a positive integer")
     if rank is not None and rank < 0:
         raise ValueError("rank cannot be negative")
-    mm = minimal_model(WeierstrassModel(*ainvs)).model
+    ainvs = tuple(ainvs)
+    ints = tuple(int(v) for v in ainvs)
+    if ints != ainvs:
+        raise ValueError(f"the a-invariants must be integers, got {ainvs!r}")
+    mm = minimal_model(WeierstrassModel(*ints)).model
     min_disc = factorize(mm.disc)
     return CurveRecord(
         minimal_model=mm,

@@ -35,7 +35,7 @@ from watkins.certify import (
     certificate_to_json,
     certificate_to_obj,
     local_v2_contribution,
-    petersson_v2_lower,
+    moddeg_v2_lower_exact,
     verify_twist,
     watkins_threshold,
 )
@@ -120,7 +120,7 @@ def test_local_contributions():
     assert local_v2_contribution(5, -2) == 7
     assert local_v2_contribution(3, 0) == 5
     assert local_v2_contribution(7, 1) == 1
-    assert petersson_v2_lower([(5, -2)]) == 6
+    assert moddeg_v2_lower_exact(3, [(5, -2)]) == 6
     with pytest.raises(HasseViolation):
         local_v2_contribution(5, 5)
 
@@ -186,14 +186,14 @@ def test_bound_dominance(records):
     for rec in sweeps:
         ctx = CertifyContext(rec)
         seen = 0
-        for fd in enumerate_fundamental_discriminants(60):
-            cert = verify_twist(rec, fd.d, context=ctx)
+        for d in enumerate_fundamental_discriminants(60):
+            cert = verify_twist(rec, d, context=ctx)
             assert cert.verdict in ("CERTIFIED", "INCONCLUSIVE"), cert.verdict_full
             assert cert.rank_upper_exact <= cert.rank_upper_coarse
             assert cert.lower_bound_exact >= cert.lower_bound_torsion
             expected = (
                 cert.rank_upper_exact <= cert.lower_bound_exact
-                or factorize(fd.d).omega >= cert.threshold
+                or factorize(d).omega >= cert.threshold
             )
             assert (cert.verdict == "CERTIFIED") == expected
             seen += 1
@@ -206,7 +206,7 @@ def test_discriminant_machinery():
         if d:
             assert is_fundamental_discriminant(d) == _fundamental_ref(d), d
 
-    got = [fd.d for fd in enumerate_fundamental_discriminants(300)]
+    got = list(enumerate_fundamental_discriminants(300))
     want = []
     for a in range(2, 301):
         if _fundamental_ref(a):
@@ -215,12 +215,12 @@ def test_discriminant_machinery():
             want.append(-a)
     assert got == want
 
-    for fd in enumerate_fundamental_discriminants(300):
+    for d in enumerate_fundamental_discriminants(300):
         prod = 1
-        for q, _ in prime_discriminant_parts(fd.d):
+        for q, _ in prime_discriminant_parts(d):
             assert is_fundamental_discriminant(q)
             prod *= q
-        assert prod == fd.d
+        assert prod == d
 
     assert count_omega_at_most(100, 1) == 36
 

@@ -8,13 +8,12 @@ from watkins import arith
 from watkins.arith import (
     TRIAL_LIMIT,
     Factorization,
-    FundamentalDiscriminant,
     _is_prime,
     count_omega_at_most,
     enumerate_fundamental_discriminants,
     factorize,
+    is_fundamental,
     is_fundamental_discriminant,
-    omega,
     prime_discriminant_parts,
     small_primes,
     v2,
@@ -142,7 +141,6 @@ def test_factorize_small():
     assert f.sign == 1 and f.omega == 3 and f.proven
     assert f.v(2) == 3 and f.v(7) == 0
     assert f.primes() == (2, 3, 5)
-    assert f.verify_primality()
 
 
 def test_factorize_sign_and_zero():
@@ -170,7 +168,6 @@ def test_factorize_unproven_prime_is_flagged():
     f = factorize(M89)
     assert f.factors == ((M89, 1),)
     assert not f.proven
-    assert not f.verify_primality()  # deterministic recheck cannot certify it
 
 
 def test_factorize_perfect_power_of_large_prime():
@@ -211,56 +208,94 @@ def test_factorization_validates_itself():
 
 
 def test_omega_helper():
-    assert omega(factorize(30)) == 3
-    assert omega(factorize(-1)) == 0
+    assert factorize(30).omega == 3
+    assert factorize(-1).omega == 0
 
 
 # --- fundamental discriminants ----------------------------------------------
 
 
 def test_fundamentality_matches_reference():
-    for d in range(-500, 501):
+    for d in range(-5000, 5001):
         if d == 0:
             continue
         assert is_fundamental_discriminant(d) == _fundamental_ref(d), d
 
 
+def _enumeration_ref(bound: int, min_omega: int, low: int = 1) -> list[int]:
+    # the fundamental d with low < |d| <= bound, in the enumeration's order
+    out = []
+    for a in range(max(low + 1, 2), bound + 1):
+        for d in (a, -a):
+            if _fundamental_ref(d) and _omega_ref(a) >= min_omega:
+                out.append(d)
+    return out
+
+
 def test_enumeration_matches_reference_order():
-    got = [fd.d for fd in enumerate_fundamental_discriminants(300)]
-    want = []
-    for a in range(2, 301):
-        if _fundamental_ref(a):
-            want.append(a)
-        if _fundamental_ref(-a):
-            want.append(-a)
+    got = list(enumerate_fundamental_discriminants(10**5))
+    want = _enumeration_ref(10**5, 0)
     assert got == want
     assert got[:6] == [-3, -4, 5, -7, 8, -8]
+    omegas = {d: _omega_ref(abs(d)) for d in want}
+    for k in range(1, 4):
+        assert list(enumerate_fundamental_discriminants(10**5, min_omega=k)) == [d for d in want if omegas[d] >= k], k
 
 
 def test_enumeration_signs_and_omega():
-    pos = [fd.d for fd in enumerate_fundamental_discriminants(100, sign="positive")]
-    neg = [fd.d for fd in enumerate_fundamental_discriminants(100, sign="negative")]
+    ds = list(enumerate_fundamental_discriminants(100))
+    pos = [d for d in ds if d > 0]
+    neg = [d for d in ds if d < 0]
     assert pos[:5] == [5, 8, 12, 13, 17]
     assert neg[:5] == [-3, -4, -7, -8, -11]
-    assert all(d > 0 for d in pos) and all(d < 0 for d in neg)
+    assert all(type(d) is int for d in ds)
 
     rich = list(enumerate_fundamental_discriminants(100, min_omega=2))
-    assert rich and all(fd.omega >= 2 for fd in rich)
-    assert all(fd.factorization.value == fd.d for fd in rich)
+    assert rich and all(factorize(d).omega >= 2 for d in rich)
+    assert rich == [d for d in ds if factorize(d).omega >= 2]
 
 
 def test_enumeration_edges():
     assert list(enumerate_fundamental_discriminants(2)) == []
-    assert 1 not in [fd.d for fd in enumerate_fundamental_discriminants(50)]
-    with pytest.raises(ValueError):
-        list(enumerate_fundamental_discriminants(10, sign="junk"))
+    assert list(enumerate_fundamental_discriminants(3)) == [-3]
+    assert list(enumerate_fundamental_discriminants(9)) == [-3, -4, 5, -7, 8, -8]  # a bound that is a square
+    assert 1 not in enumerate_fundamental_discriminants(50)
 
 
-def test_fundamental_discriminant_validates():
-    with pytest.raises(ValueError):
-        FundamentalDiscriminant(7, factorize(7))  # 7 = 3 mod 4
-    with pytest.raises(ValueError):
-        FundamentalDiscriminant(5, factorize(-5))  # mismatched factorization
+@given(
+    st.integers(min_value=0, max_value=2 * 10**5),
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+@example(low=0, width=3000, min_omega=0)
+def test_enumeration_matches_reference_on_windows(low, width, min_omega):
+    got = [d for d in enumerate_fundamental_discriminants(low + width, min_omega=min_omega) if abs(d) > low]
+    assert got == _enumeration_ref(low + width, min_omega, low)
+
+
+@given(
+    st.sampled_from([1000003, 1000033, 10**12 + 39]),
+    st.sampled_from([1, 2]),
+    st.integers(min_value=-300, max_value=300).filter(bool),
+)
+@settings(max_examples=80, deadline=None)
+@example(p=1000003, e=1, cofactor=-1)
+@example(p=1000033, e=1, cofactor=1)
+@example(p=10**12 + 39, e=2, cofactor=1)
+def test_fundamentality_with_a_prime_above_the_trial_wall(p, e, cofactor):
+    # the defining congruences, with squarefreeness decided on the cofactor
+    # alone: p is a prime far above |cofactor|
+    d = p**e * cofactor
+    if e > 1:
+        want = False
+    elif d % 4 == 1:
+        want = _squarefree_ref(abs(cofactor))
+    elif d % 4 == 0:
+        want = d // 4 % 4 in (2, 3) and _squarefree_ref(abs(cofactor // 4))
+    else:
+        want = False
+    assert is_fundamental_discriminant(d) == is_fundamental(factorize(d)) == want, d
 
 
 def test_prime_discriminant_parts_frozen():
@@ -301,6 +336,13 @@ def test_count_omega_against_reference():
     for a in range(4):
         want = sum(1 for n in range(1, 201) if _omega_ref(n) <= a)
         assert count_omega_at_most(200, a) == want, a
+    omegas = [_omega_ref(n) for n in range(1, 3001)]
+    for a in range(-1, 6):
+        count = 0
+        for x, w in enumerate(omegas, start=1):
+            count += w <= a
+            if x < 50 or x % 97 == 0 or x == 3000:
+                assert count_omega_at_most(x, a) == count, (x, a)
 
 
 def test_count_omega_edges():

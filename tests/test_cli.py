@@ -57,6 +57,9 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--curve", "1,2,3", "--d", "5")
     assert code == 2 and "five" in err
 
+    code, _, err = run(capsys, "verify", "--curve", "0,0,0,1.5,1", "--moddeg", "1", "--d", "5")
+    assert code == 2 and "integers" in err
+
     code, _, err = run(capsys, "fetch", "--label", "999z9", "--offline")
     assert code == 2 and "not available offline" in err
 
@@ -312,6 +315,21 @@ def _fresh_python(code: str) -> str:
 def test_importing_the_cli_leaves_multiprocessing_out():
     out = _fresh_python("import sys, watkins.cli; print('multiprocessing' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_scan_and_density_leave_numpy_out():
+    code = """
+import contextlib, io, sys
+from watkins import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = (cli.main(["scan", "--label", "17a1", "--offline", "--d-bound", "500"]), cli.main(["density", "1000", "2"]))
+print(*codes, out.getvalue().count("\\n"), "numpy" in sys.modules)
+"""
+    scan, density, lines, numpy_loaded = _fresh_python(code).split()
+    assert (scan, density) == ("0", "0")
+    assert int(lines) == 306 + 2  # a certificate per fundamental |d| <= 500, the summary, the count
+    assert numpy_loaded == "False"
 
 
 @pytest.mark.parametrize("label, d", [("17a1", -150071), ("32a1", -199999), ("49a1", -199967), ("14a1", 5)])

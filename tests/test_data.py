@@ -139,17 +139,6 @@ def test_cache_put_get_last_wins(tmp_path):
     assert cache.get("nope") is None
 
 
-def test_cache_compact(tmp_path):
-    cache = CurveCache(tmp_path)
-    cache.put(ROW_389)
-    cache.put(dataclasses.replace(ROW_389, rank=None))
-    cache.put(dataclasses.replace(ROW_389, label="zz1"))
-    assert cache.compact() == 2
-    lines = cache.path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert cache.get("389a1").rank is None
-
-
 def test_cache_honours_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("WATKINS_CACHE_DIR", str(tmp_path / "elsewhere"))
     cache = CurveCache()
@@ -193,15 +182,6 @@ def test_by_label_key_depends_on_label_shape():
     client = LmfdbClient(transport, delay=0)
     client.by_label("389.a1")
     assert transport.calls[0][1]["lmfdb_label"] == "389.a1"
-
-
-def test_by_conductor_range():
-    payload = {"data": _remote_payload()["data"] * 2}
-    transport = FakeTransport(FakeResponse(payload))
-    client = LmfdbClient(transport, delay=0)
-    rows = client.by_conductor_range(380, 390)
-    assert len(rows) == 2
-    assert transport.calls[0][1]["conductor"] == "380..390"
 
 
 def test_remote_schema_mismatches():

@@ -488,3 +488,10 @@ def test_build_curve_record_validates_invariants():
     for kwargs in ({"moddeg": 0}, {"manin": 0}, {"rank": -1}):
         with pytest.raises(ValueError):
             build_curve_record((0, 0, 1, -1, 0), **kwargs)
+    for ainvs in ((0, 0, 0, 1.5, 1), (0, 0, 1, "-1", 0)):
+        with pytest.raises(ValueError):
+            build_curve_record(ainvs)
+    # integral values of another type are taken as the integers they equal
+    rec = build_curve_record((0.0, 0, 1, -1.0, Fraction(0)))
+    assert rec.minimal_model.ainvs() == (0, 0, 1, -1, 0)
+    assert all(type(a) is int for a in rec.minimal_model.ainvs())
