@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, FactoringBudgetExceeded, InvariantViolation, ZeroInput
 
@@ -71,15 +70,13 @@ def _primes_from(i: int) -> tuple[int, ...]:
 
 
 def small_primes() -> tuple[int, ...]:
-    """Every prime below TRIAL_LIMIT, ascending.
+    """Every prime below TRIAL_LIMIT, ascending, sieved afresh on each call.
 
-    Sieves the on-demand table to TRIAL_LIMIT in one pass; trial
-    division reads the table directly and grows it only as far as its
-    numbers need.
+    The on-demand table is left alone, so the result is the caller's to
+    keep or drop; trial division reads the table and grows it only as
+    far as its numbers need.
     """
-    if _SIEVED < TRIAL_LIMIT:
-        _sieve_table(TRIAL_LIMIT)
-    return _PRIMES
+    return _sieve(TRIAL_LIMIT)
 
 
 def _trial_divide(m: int, found: dict[int, int], bound: int = TRIAL_LIMIT, root: int = 2) -> int:
@@ -238,33 +235,38 @@ def _brent_rho(n: int, rounds: int) -> int:
     raise FactoringBudgetExceeded(f"rho gave up on {n} after {rounds} rounds")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed factorization: value == sign * prod(p**e).
-
-    factors is sorted by prime, exponents >= 1.  proven=False marks a
-    factorization resting on a probable (unproven) prime.
-    """
-
+class _FactorizationFields(NamedTuple):
     value: int
     sign: int
     factors: tuple[tuple[int, int], ...]
     proven: bool = True
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
+
+class Factorization(_FactorizationFields):
+    """Signed factorization: value == sign * prod(p**e).
+
+    factors is sorted by prime, exponents >= 1, and construction checks
+    both and the product.  proven=False marks a factorization resting on
+    a probable (unproven) prime.  `_replace` and `_make` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, sign: int, factors: tuple[tuple[int, int], ...], proven: bool = True):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +-1")
-        prod = self.sign
+        prod = sign
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev:
                 raise ValueError("factors must be sorted, distinct primes")
             if e < 1:
                 raise ValueError("exponents must be >= 1")
             prev = p
             prod *= p**e
-        if prod != self.value:
-            raise ValueError(f"factors do not reconstruct {self.value}")
+        if prod != value:
+            raise ValueError(f"factors do not reconstruct {value}")
+        return tuple.__new__(cls, (value, sign, factors, proven))
 
     @property
     def omega(self) -> int:
@@ -428,7 +430,9 @@ _OMEGA_COUNT_LIMIT = 10**7
 
 def count_omega_at_most(x: int, a: int) -> int:
     """#{1 <= n <= x : omega(n) <= a}, by sieve.  n = 1 has omega 0."""
-    if x < 1:
+    if x < 0 or a < 0:
+        raise ValueError(f"count_omega_at_most wants x, a >= 0, got x = {x}, a = {a}")
+    if x == 0:
         return 0
     if x > _OMEGA_COUNT_LIMIT:
         raise BudgetExceeded(f"omega-count sieve capped at {_OMEGA_COUNT_LIMIT}")

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import Factorization, factor_fundamental, v2
 from .ecq import (
@@ -112,8 +112,7 @@ def _v2_moddeg(curve: CurveRecord, assume_manin: bool) -> tuple[int, list[str]]:
     return v2(curve.moddeg) - 2 * v2(manin), assumptions
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     label: str | None
     threshold: int
     kappa: int
@@ -195,8 +194,7 @@ class CertifyContext:
         return self._ap[p]
 
 
-@dataclass(frozen=True)
-class TwistCertificate:
+class TwistCertificate(NamedTuple):
     curve: str
     d: int
     verdict: str

@@ -9,7 +9,6 @@ per-twist verdicts were.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -87,6 +86,8 @@ def _cmd_verify(args) -> int:
     with ExitStack() as stack:
         out = _open_out(args, stack)
         if args.format == "csv":
+            import csv  # only --format csv pays for the import
+
             w = csv.writer(out)
             w.writerow(CERT_FIELDS)
             w.writerow(obj_to_flat(obj))
@@ -133,6 +134,8 @@ def _cmd_scan(args) -> int:
         out = _open_out(args, stack)
         writer = None
         if args.format == "csv":
+            import csv  # only --format csv pays for the import
+
             writer = csv.writer(out)
             writer.writerow(CERT_FIELDS)
         if args.jobs == 1:
@@ -283,61 +286,69 @@ def _add_curve_args(p: argparse.ArgumentParser, *, invariants: bool = False) -> 
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(*commands: str) -> argparse.ArgumentParser:
+    """The CLI's parser, with a subparser for each named subcommand.
+
+    With no names, or none that is a subcommand, it has them all.  `main`
+    names the one it runs, so that a cold process builds one subparser
+    rather than eight.
+    """
     parser = argparse.ArgumentParser(
         prog="watkins",
         description="certified rank bounds for quadratic twists via 2-adic modular-degree valuations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("threshold", help="omega(D) threshold past which every twist certifies")
-    _add_curve_args(p, invariants=True)
-    p.set_defaults(func=_cmd_threshold)
+    def add(name: str, help_: str, func) -> argparse.ArgumentParser | None:
+        if commands and name not in commands:
+            return None
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="certificate for a single twist")
-    _add_curve_args(p, invariants=True)
-    p.add_argument("--d", type=int, required=True, help="fundamental discriminant to twist by")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="write output here instead of stdout")
-    p.set_defaults(func=_cmd_verify)
+    if p := add("threshold", "omega(D) threshold past which every twist certifies", _cmd_threshold):
+        _add_curve_args(p, invariants=True)
 
-    p = sub.add_parser("scan", help="verify every fundamental discriminant up to a bound")
-    _add_curve_args(p, invariants=True)
-    p.add_argument("--d-bound", type=int, required=True, help="scan |d| up to this bound")
-    p.add_argument("--min-omega", type=int, default=0, help="only d with at least this many prime factors")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--out", help="write output here instead of stdout")
-    p.set_defaults(func=_cmd_scan)
+    if p := add("verify", "certificate for a single twist", _cmd_verify):
+        _add_curve_args(p, invariants=True)
+        p.add_argument("--d", type=int, required=True, help="fundamental discriminant to twist by")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", help="write output here instead of stdout")
 
-    p = sub.add_parser("ap", help="trace of Frobenius at a good prime")
-    _add_curve_args(p)
-    p.add_argument("p", type=int)
-    p.set_defaults(func=_cmd_ap)
+    if p := add("scan", "verify every fundamental discriminant up to a bound", _cmd_scan):
+        _add_curve_args(p, invariants=True)
+        p.add_argument("--d-bound", type=int, required=True, help="scan |d| up to this bound")
+        p.add_argument("--min-omega", type=int, default=0, help="only d with at least this many prime factors")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--out", help="write output here instead of stdout")
 
-    p = sub.add_parser("conductor", help="conductor with per-prime reduction data")
-    _add_curve_args(p)
-    p.set_defaults(func=_cmd_conductor)
+    if p := add("ap", "trace of Frobenius at a good prime", _cmd_ap):
+        _add_curve_args(p)
+        p.add_argument("p", type=int)
 
-    p = sub.add_parser("minimal-twist", help="check the curve against its twist family")
-    _add_curve_args(p)
-    p.set_defaults(func=_cmd_minimal_twist)
+    if p := add("conductor", "conductor with per-prime reduction data", _cmd_conductor):
+        _add_curve_args(p)
 
-    p = sub.add_parser("density", help="count integers with few prime factors")
-    p.add_argument("x", type=int)
-    p.add_argument("a", type=int)
-    p.set_defaults(func=_cmd_density)
+    if p := add("minimal-twist", "check the curve against its twist family", _cmd_minimal_twist):
+        _add_curve_args(p)
 
-    p = sub.add_parser("fetch", help="resolve and validate a curve row")
-    p.add_argument("--label", required=True)
-    p.add_argument("--offline", action="store_true", help="never touch the network")
-    p.set_defaults(func=_cmd_fetch)
+    if p := add("density", "count integers with few prime factors", _cmd_density):
+        p.add_argument("x", type=int)
+        p.add_argument("a", type=int)
 
+    if p := add("fetch", "resolve and validate a curve row", _cmd_fetch):
+        p.add_argument("--label", required=True)
+        p.add_argument("--offline", action="store_true", help="never touch the network")
+
+    if not sub.choices:  # no name was a subcommand: help and usage errors list them all
+        return build_parser()
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(*argv[:1]).parse_args(argv)
     try:
         return args.func(args)
     except (WatkinsError, ValueError) as err:

@@ -16,10 +16,10 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .ecq import CurveRecord, build_curve_record
 from .errors import CorruptCache, NetworkError, NotFound, SchemaMismatch, ValidationError
@@ -37,8 +37,7 @@ _ROW_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class CurveDataRow:
+class CurveDataRow(NamedTuple):
     """One externally sourced curve, as stored on disk."""
 
     label: str
@@ -57,7 +56,7 @@ def _canonical_row_json(row_obj: dict) -> str:
 
 
 def row_to_line(row: CurveDataRow) -> str:
-    obj = asdict(row)
+    obj = row._asdict()
     obj["ainvs"] = list(row.ainvs)
     if row.torsion_structure is not None:
         obj["torsion_structure"] = list(row.torsion_structure)
@@ -268,8 +267,7 @@ def fetch_curve(
 # validation against recomputation
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     field: str
     remote: object
     local: object

@@ -10,9 +10,8 @@ the valuation table at p >= 5), quadratic twisting, rational
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 from .arith import (
     TRIAL_LIMIT,
@@ -37,48 +36,40 @@ from .errors import (
 _INF = 10**9  # stand-in valuation for 0
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with integer a_i.
-
-    b2, b4, b6, b8, c4, c6 and disc are computed once, on construction;
-    equality, hashing and repr read the a_i only.  The a_i are taken as
-    given: `build_curve_record` checks a-invariants from outside.
-    """
-
+class _AInvariants(NamedTuple):
     a1: int
     a2: int
     a3: int
     a4: int
     a6: int
-    b2: int = field(init=False, repr=False, compare=False)
-    b4: int = field(init=False, repr=False, compare=False)
-    b6: int = field(init=False, repr=False, compare=False)
-    b8: int = field(init=False, repr=False, compare=False)
-    c4: int = field(init=False, repr=False, compare=False)
-    c6: int = field(init=False, repr=False, compare=False)
-    disc: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        a1, a2, a3, a4, a6 = self.ainvs()
+
+class WeierstrassModel(_AInvariants):
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with integer a_i.
+
+    b2, b4, b6, b8, c4, c6 and disc are computed once, on construction,
+    and kept in the instance dict, outside the tuple: equality, hashing
+    and repr read the a_i only.  `_replace` and `_make` skip that, so a
+    changed model is built anew.  The a_i are taken as given:
+    `build_curve_record` checks a-invariants from outside.
+    """
+
+    def __new__(cls, a1: int, a2: int, a3: int, a4: int, a6: int):
+        self = tuple.__new__(cls, (a1, a2, a3, a4, a6))
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if disc == 0:
-            raise SingularModel(f"discriminant vanishes for {self.ainvs()}")
+            raise SingularModel(f"discriminant vanishes for {(a1, a2, a3, a4, a6)}")
         c4 = b2 * b2 - 24 * b4
         c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-        # frozen: the derived fields go straight into the instance dict
         self.__dict__.update(b2=b2, b4=b4, b6=b6, b8=b8, c4=c4, c6=c6, disc=disc)
+        return self
 
     def ainvs(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.c4**3, self.disc)
+        return tuple(self)
 
 
 def _v(x: int, p: int) -> int:
@@ -105,8 +96,12 @@ def transform_model(m: WeierstrassModel, u, r=0, s=0, t=0) -> WeierstrassModel:
     """Apply x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
     u must be positive; r, s, t may be rational.  Raises ValueError
-    unless the resulting model is integral.
+    unless the resulting model is integral.  This is the reference for
+    `minimal_model`'s integer check; `fractions` is imported here, so
+    that nothing on the verify path loads it.
     """
+    from fractions import Fraction
+
     u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
     if u <= 0:
         raise ValueError("u must be positive")
@@ -239,8 +234,7 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
     raise InvariantViolation(f"no integral model for invariants ({c4}, {c6})")
 
 
-@dataclass(frozen=True)
-class MinimalModelResult:
+class MinimalModelResult(NamedTuple):
     model: WeierstrassModel
     u: int
     r: int
@@ -283,8 +277,7 @@ def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
 # Tate's algorithm
 
 
-@dataclass(frozen=True)
-class LocalReduction:
+class LocalReduction(NamedTuple):
     p: int
     kodaira: str
     f: int
@@ -543,16 +536,13 @@ def two_torsion_rank(m: WeierstrassModel) -> int:
 
 
 def _ap_naive(m: WeierstrassModel, p: int) -> int:
-    qr = bytearray(p)
-    for y in range(p // 2 + 1):
-        qr[y * y % p] = 1
+    # -sum of the Legendre symbol (h(x)/p), h = 4x^3 + b2 x^2 + 2 b4 x + b6, over x mod p
+    chi = [-1] * p
+    for y in range(1, p // 2 + 1):
+        chi[y * y % p] = 1
+    chi[0] = 0
     b2, bb4, b6 = m.b2 % p, (2 * m.b4) % p, m.b6 % p
-    total = 0
-    for x in range(p):
-        h = (((4 * x + b2) * x + bb4) * x + b6) % p
-        if h:
-            total += 1 if qr[h] else -1
-    return -total
+    return -sum([chi[(((4 * x + b2) * x + bb4) * x + b6) % p] for x in range(p)])
 
 
 def _ec_add(P, Q, a: int, p: int):
@@ -727,8 +717,7 @@ def a_p(m: WeierstrassModel, p: int, *, naive_limit: int = 500, bsgs_limit: int 
 # curve records
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(NamedTuple):
     """A curve plus the externally sourced invariants the bounds need.
 
     moddeg is the modular degree, manin the Manin constant; both stay

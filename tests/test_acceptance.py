@@ -10,7 +10,6 @@ the wall-clock budgets stated inline.
 """
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -181,7 +180,7 @@ def test_certified_twist_end_to_end(records):
 def test_bound_dominance(records):
     sweeps = [
         records["17a1"],
-        dataclasses.replace(records["32a2"], moddeg=2, manin=1),
+        records["32a2"]._replace(moddeg=2, manin=1),
     ]
     for rec in sweeps:
         ctx = CertifyContext(rec)

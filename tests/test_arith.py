@@ -337,7 +337,7 @@ def test_count_omega_against_reference():
         want = sum(1 for n in range(1, 201) if _omega_ref(n) <= a)
         assert count_omega_at_most(200, a) == want, a
     omegas = [_omega_ref(n) for n in range(1, 3001)]
-    for a in range(-1, 6):
+    for a in range(6):
         count = 0
         for x, w in enumerate(omegas, start=1):
             count += w <= a
@@ -348,6 +348,9 @@ def test_count_omega_against_reference():
 def test_count_omega_edges():
     assert count_omega_at_most(0, 3) == 0
     assert count_omega_at_most(1, 0) == 1  # omega(1) = 0
+    for x, a in ((-5, 2), (-1, 0), (100, -3), (0, -1)):
+        with pytest.raises(ValueError):
+            count_omega_at_most(x, a)
     with pytest.raises(BudgetExceeded):
         count_omega_at_most(10**8, 1)
 
@@ -386,6 +389,14 @@ def test_small_primes_is_every_prime_below_the_trial_wall():
     assert list(ps) == sorted(set(ps))
 
 
+def test_small_primes_leaves_the_table_alone(monkeypatch):
+    # the full list is the caller's: the module keeps no reference to it
+    _cold_table(monkeypatch)
+    table = arith._PRIMES
+    assert small_primes()[: len(table)] == table
+    assert arith._SIEVED == 1024 and arith._PRIMES is table
+
+
 @given(
     st.lists(st.tuples(_factor, st.integers(min_value=1, max_value=3)), min_size=1, max_size=3),
     _huge,
@@ -413,7 +424,7 @@ def test_cold_table_agrees_with_full_table(parts, huge, x, y, sign):
     with pytest.MonkeyPatch.context() as mp:
         _cold_table(mp)
         cold = results()
-    small_primes()
+    arith._sieve_table(TRIAL_LIMIT)
     assert cold == results()
 
 

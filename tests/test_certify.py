@@ -1,7 +1,6 @@
 """Bounds, thresholds, applicability gates, and certificates."""
 
 import csv
-import dataclasses
 import io
 import json
 import re
@@ -127,7 +126,7 @@ def v2_diff(e1, e2):
 
 def _delta_by_fractions(e1, e2):
     # the height check as it stood with j-invariants and the bound as Fractions
-    if e1.j != e2.j:
+    if Fraction(e1.c4**3, e1.disc) != Fraction(e2.c4**3, e2.disc):
         raise NotTwistPair("curves have different j-invariants")
     return abs(Fraction(v2_diff(e1, e2), 6)) <= 3
 
@@ -265,7 +264,7 @@ def test_verify_gate_order_and_reasons(records):
     shifted = build_curve_record(tw.ainvs(), moddeg=1, manin=1)
     assert verify_twist(shifted, -3).verdict_full == "INAPPLICABLE(not_minimal_twist)"
 
-    lied = dataclasses.replace(records["17a1"], conductor=factorize(11))
+    lied = records["17a1"]._replace(conductor=factorize(11))
     assert verify_twist(lied, 5).verdict_full == "INAPPLICABLE(conductor_divisibility)"
 
     assert verify_twist(records["15a8"], 5).verdict_full == "INAPPLICABLE(missing_invariant)"
@@ -287,9 +286,7 @@ def test_verify_budget_downgrade(records):
 
 def test_verify_flags_unproven_primality(records):
     base = records["17a1"]
-    rec = dataclasses.replace(
-        base, min_disc=dataclasses.replace(base.min_disc, proven=False)
-    )
+    rec = base._replace(min_disc=base.min_disc._replace(proven=False))
     cert = verify_twist(rec, 5)
     assert cert.verdict == "CERTIFIED"
     assert "probabilistic_prime" in cert.assumptions
@@ -315,7 +312,7 @@ def test_verify_assume_manin_flows_through(records):
 
 
 def test_verify_assume_manin_holds_with_a_shared_context(records):
-    rec = dataclasses.replace(records["17a1"], manin=None)
+    rec = records["17a1"]._replace(manin=None)
     ctx = CertifyContext(rec)
     for _ in range(2):  # either flag, in either order, on one context
         cert = verify_twist(rec, 5, assume_manin=True, context=ctx)
@@ -333,16 +330,16 @@ def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypat
         return real(m)
 
     monkeypatch.setattr(certify, "conductor", counting)
-    rec = dataclasses.replace(records["17a1"], label="17a1-counted")
+    rec = records["17a1"]._replace(label="17a1-counted")
     certify.is_minimal_twist.cache_clear()
     n_candidates = len(minimal_twist_candidates(rec.conductor))
     for d in (5, -3, 13, -4, 1000033):
         verify_twist(rec, d)
     assert len(calls) == n_candidates
     # a record that differs in any field gets its own check
-    verify_twist(dataclasses.replace(rec, fetched_at="2000-01-01"), 5)
+    verify_twist(rec._replace(fetched_at="2000-01-01"), 5)
     assert len(calls) == 2 * n_candidates
-    verify_twist(dataclasses.replace(rec), 5)
+    verify_twist(rec._replace(), 5)
     assert len(calls) == 2 * n_candidates
 
 
@@ -375,7 +372,7 @@ def test_twist_conductor_from_support_matches_full_conductor(records, label, d):
     rec = records[label]
     assert rec.two_torsion_rank >= 1
     # a stand-in modular degree so every 2-torsion fixture reaches the conductor
-    rec = dataclasses.replace(rec, moddeg=rec.moddeg or 1, manin=rec.manin or 1)
+    rec = rec._replace(moddeg=rec.moddeg or 1, manin=rec.manin or 1)
     cert = verify_twist(rec, d)
     assert cert.twist_conductor is not None, cert.verdict_full
     assert cert.twist_conductor == conductor(quadratic_twist(rec.minimal_model, d))

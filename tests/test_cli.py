@@ -193,6 +193,13 @@ def test_density_command(capsys):
     assert obj["reference_value"] > 0
 
 
+@pytest.mark.parametrize("x, a", [("-5", "2"), ("100", "-3")])
+def test_density_rejects_negative_input(capsys, x, a):
+    code, out, err = run(capsys, "density", x, a)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and ">= 0" in err
+
+
 def test_fetch_command(capsys):
     code, out, _ = run(capsys, "fetch", "--label", "17a1", "--offline")
     assert code == 0
@@ -330,6 +337,18 @@ print(*codes, out.getvalue().count("\\n"), "numpy" in sys.modules)
     assert (scan, density) == ("0", "0")
     assert int(lines) == 306 + 2  # a certificate per fundamental |d| <= 500, the summary, the count
     assert numpy_loaded == "False"
+
+
+def test_cold_verify_loads_no_dataclasses_fractions_or_csv():
+    # a verify builds NamedTuple records, checks models in integers and writes JSON
+    code = """
+import contextlib, io, sys
+from watkins import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--label", "17a1", "--offline", "--d", "5"])
+print(code, *sorted({"dataclasses", "inspect", "fractions", "decimal", "csv"} & set(sys.modules)))
+"""
+    assert _fresh_python(code).split() == ["0"]
 
 
 @pytest.mark.parametrize("label, d", [("17a1", -150071), ("32a1", -199999), ("49a1", -199967), ("14a1", 5)])

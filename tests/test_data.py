@@ -1,6 +1,5 @@
 """Fixture loading, cache integrity, remote parsing, and validation."""
 
-import dataclasses
 import json
 import time
 
@@ -133,7 +132,7 @@ def test_cache_put_get_last_wins(tmp_path):
     cache = CurveCache(tmp_path)
     assert cache.get("389a1") is None
     cache.put(ROW_389)
-    cache.put(dataclasses.replace(ROW_389, rank=None))
+    cache.put(ROW_389._replace(rank=None))
     got = cache.get("389a1")
     assert got.rank is None  # newest line wins
     assert cache.get("nope") is None
@@ -271,7 +270,7 @@ def test_fetch_remote_writes_back(tmp_path):
 
 
 def test_validate_row_flags_soft_lies():
-    row = dataclasses.replace(ROW_389, conductor=388, torsion_structure=(2,))
+    row = ROW_389._replace(conductor=388, torsion_structure=(2,))
     record = record_from_row(ROW_389)
     fields = {d.field for d in validate_row(row, record)}
     assert fields == {"conductor", "two_torsion_rank"}
@@ -287,9 +286,9 @@ def test_validate_row_spots_non_minimal_input():
 
 def test_record_from_row_hard_failures():
     with pytest.raises(ValidationError):
-        record_from_row(dataclasses.replace(ROW_389, conductor=388))
+        record_from_row(ROW_389._replace(conductor=388))
     with pytest.raises(ValidationError):
-        record_from_row(dataclasses.replace(ROW_389, manin=0))
+        record_from_row(ROW_389._replace(manin=0))
 
 
 def test_record_from_row_carries_invariants():
