@@ -1,7 +1,7 @@
 """Integer arithmetic: valuations, factoring, fundamental discriminants.
 
 `scan` and `density` share one sieve: two bytearrays holding omega(k)
-and whether k is squarefree, for every k up to the bound.
+and whether k is squarefree, for every k up to the bound (at most 10^7).
 
 Factoring is trial division to TRIAL_LIMIT, then Brent's rho under an
 explicit round budget.  Primality is Miller-Rabin with the deterministic
@@ -26,6 +26,8 @@ from typing import Iterator, NamedTuple
 from .errors import BudgetExceeded, FactoringBudgetExceeded, InvariantViolation, ZeroInput
 
 TRIAL_LIMIT = 10**6
+# Brent rho restarts per composite before FactoringBudgetExceeded, read on each call
+RHO_ROUNDS = 64
 
 # Deterministic Miller-Rabin witness set, valid for n < _MR_PROVEN_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -289,11 +291,11 @@ class Factorization(_FactorizationFields):
         return sorted(out)
 
 
-def factorize(n: int, *, rho_rounds: int = 64) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Factor a nonzero integer.
 
     Trial division by primes below TRIAL_LIMIT, then perfect-power
-    peeling and Brent rho on what is left.  rho_rounds bounds the rho
+    peeling and Brent rho on what is left.  RHO_ROUNDS bounds the rho
     restarts per composite; FactoringBudgetExceeded propagates when the
     budget runs out.
     """
@@ -308,12 +310,12 @@ def factorize(n: int, *, rho_rounds: int = 64) -> Factorization:
             # below the trial wall squared the cofactor must be prime
             found[m] = 1
         else:
-            proven = _factor_large(m, found, rho_rounds)
+            proven = _factor_large(m, found)
     factors = tuple(sorted(found.items()))
     return Factorization(value=n, sign=sign, factors=factors, proven=proven)
 
 
-def _factor_large(m: int, found: dict, rho_rounds: int) -> bool:
+def _factor_large(m: int, found: dict) -> bool:
     """Split m (> TRIAL_LIMIT**2, no small factors) into found. Returns proven flag.
 
     A perfect power's base is split once, and its primes count k times."""
@@ -331,7 +333,7 @@ def _factor_large(m: int, found: dict, rho_rounds: int) -> bool:
             base, e = pp
             stack.append((base, k * e))
             continue
-        d = _brent_rho(x, rho_rounds)
+        d = _brent_rho(x, RHO_ROUNDS)
         stack.append((d, k))
         stack.append((x // d, k))
     return proven
@@ -377,6 +379,10 @@ def factor_fundamental(d: int) -> Factorization:
 _INCREMENT = bytes(range(1, 256)) + b"\0"
 
 
+# the largest n _omega_sieve sieves: about 3 bytes per integer up to n
+_SIEVE_LIMIT = 10**7
+
+
 def _omega_sieve(n: int) -> tuple[bytearray, bytearray]:
     """(omega, squarefree), indexed by 0 <= k <= n.
 
@@ -384,7 +390,10 @@ def _omega_sieve(n: int) -> tuple[bytearray, bytearray]:
     is 1 when no square above 1 divides k, else 0.  omega is its own
     prime sieve: once every prime below p has been counted, p is prime
     exactly when omega[p] is still 0, so no list of primes is built.
+    BudgetExceeded refuses n above _SIEVE_LIMIT before anything is allocated.
     """
+    if n > _SIEVE_LIMIT:
+        raise BudgetExceeded(f"the omega sieve is capped at {_SIEVE_LIMIT}, got {n}")
     omega = bytearray(n + 1)
     squarefree = bytearray([1]) * (n + 1)
     p = 2
@@ -424,18 +433,12 @@ def enumerate_fundamental_discriminants(bound: int, *, min_omega: int = 0) -> It
                 yield sign * a
 
 
-# the largest x count_omega_at_most sieves: two bytearrays of x bytes each
-_OMEGA_COUNT_LIMIT = 10**7
-
-
 def count_omega_at_most(x: int, a: int) -> int:
     """#{1 <= n <= x : omega(n) <= a}, by sieve.  n = 1 has omega 0."""
     if x < 0 or a < 0:
         raise ValueError(f"count_omega_at_most wants x, a >= 0, got x = {x}, a = {a}")
     if x == 0:
         return 0
-    if x > _OMEGA_COUNT_LIMIT:
-        raise BudgetExceeded(f"omega-count sieve capped at {_OMEGA_COUNT_LIMIT}")
     omega, _ = _omega_sieve(x)
     return omega.translate(bytes(k <= a for k in range(256))).count(1, 1)
 

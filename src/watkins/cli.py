@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
 
@@ -46,12 +47,7 @@ def _resolve_record(args) -> CurveRecord:
         row = fetch_curve(args.label, offline=args.offline)
         return record_from_row(row)
     ainvs = _parse_ainvs(args.curve)
-    return build_curve_record(
-        ainvs,
-        moddeg=getattr(args, "moddeg", None),
-        manin=getattr(args, "manin", None),
-        source="cli",
-    )
+    return build_curve_record(ainvs, moddeg=getattr(args, "moddeg", None), manin=getattr(args, "manin", None))
 
 
 def _emit(obj: dict, out) -> None:
@@ -123,9 +119,18 @@ def _open_out(args, stack: ExitStack):
     return sys.stdout
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: more workers than that only contend."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_scan(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    jobs = min(args.jobs, _usable_cpus())
     record = _resolve_record(args)
     ds = list(enumerate_fundamental_discriminants(args.d_bound, min_omega=args.min_omega))
     counts = {"CERTIFIED": 0, "INCONCLUSIVE": 0, "INAPPLICABLE": 0}
@@ -138,14 +143,14 @@ def _cmd_scan(args) -> int:
 
             writer = csv.writer(out)
             writer.writerow(CERT_FIELDS)
-        if args.jobs == 1:
+        if jobs == 1:
             _scan_init(record, args.assume_manin)
             objs = map(_scan_one, ds)
         else:
             from multiprocessing import Pool  # only a parallel scan pays for the import
 
             pool = stack.enter_context(
-                Pool(args.jobs, initializer=_scan_init, initargs=(record, args.assume_manin))
+                Pool(jobs, initializer=_scan_init, initargs=(record, args.assume_manin))
             )
             objs = pool.imap(_scan_one, ds, chunksize=16)
         for obj in objs:
@@ -190,7 +195,7 @@ def _cmd_ap(args) -> int:
 
 def _cmd_conductor(args) -> int:
     record = _resolve_record(args)
-    locals_ = local_reductions(record.minimal_model)
+    locals_ = local_reductions(record.minimal_model, record.min_disc.primes())
     _emit(
         {
             "curve": record.label or args.curve,
@@ -320,7 +325,7 @@ def build_parser(*commands: str) -> argparse.ArgumentParser:
         p.add_argument("--d-bound", type=int, required=True, help="scan |d| up to this bound")
         p.add_argument("--min-omega", type=int, default=0, help="only d with at least this many prime factors")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per usable CPU")
         p.add_argument("--out", help="write output here instead of stdout")
 
     if p := add("ap", "trace of Frobenius at a good prime", _cmd_ap):

@@ -6,7 +6,8 @@ checksummed format so a flipped byte in either is caught, not served:
 
     {"row": {...}, "sha256": "<hex of the canonical row JSON>"}
 
-Remote rows are untrusted input: everything recomputable is recomputed
+Every row is untrusted input.  Cache, fixture and remote rows pass one
+field check (`row_from_obj`), and everything recomputable is recomputed
 and compared before a CurveRecord is built from them.
 """
 
@@ -19,22 +20,10 @@ import time
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .ecq import CurveRecord, build_curve_record
 from .errors import CorruptCache, NetworkError, NotFound, SchemaMismatch, ValidationError
-
-_ROW_FIELDS = (
-    "label",
-    "ainvs",
-    "conductor",
-    "moddeg",
-    "manin",
-    "rank",
-    "torsion_structure",
-    "source",
-    "fetched_at",
-)
 
 
 class CurveDataRow(NamedTuple):
@@ -51,6 +40,40 @@ class CurveDataRow(NamedTuple):
     fetched_at: str | None = None
 
 
+def _ints(v) -> bool:
+    # JSON true and false load as bools, which are ints to isinstance
+    return isinstance(v, list) and all(type(a) is int for a in v)
+
+
+def row_from_obj(obj) -> CurveDataRow:
+    """The row a dict in the on-disk schema holds, every field type-checked.
+
+    Every field of CurveDataRow must be present; SchemaMismatch names
+    the first one that is missing or of the wrong type, or a negative rank.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaMismatch(f"expected a JSON object per curve, got {type(obj).__name__}")
+    try:
+        row = CurveDataRow(**{k: obj[k] for k in CurveDataRow._fields})
+    except KeyError as err:
+        raise SchemaMismatch(f"row missing field {err}") from err
+    label, ainvs, conductor, moddeg, manin, rank, torsion, source, fetched_at = row
+    for ok, field, want in (
+        (isinstance(label, str) and label, "label", "a non-empty string"),
+        (_ints(ainvs) and len(ainvs) == 5, "ainvs", "five integers"),
+        (type(conductor) is int, "conductor", "an integer"),
+        (moddeg is None or type(moddeg) is int, "moddeg", "an integer or null"),
+        (manin is None or type(manin) is int, "manin", "an integer or null"),
+        (rank is None or (type(rank) is int and rank >= 0), "rank", "a non-negative integer or null"),
+        (torsion is None or _ints(torsion), "torsion_structure", "a list of integers or null"),
+        (isinstance(source, str), "source", "a string"),
+        (fetched_at is None or isinstance(fetched_at, str), "fetched_at", "a string or null"),
+    ):
+        if not ok:
+            raise SchemaMismatch(f"row field {field} should be {want}, got {obj[field]!r}")
+    return row._replace(ainvs=tuple(ainvs), torsion_structure=None if torsion is None else tuple(torsion))
+
+
 def _canonical_row_json(row_obj: dict) -> str:
     return json.dumps(row_obj, sort_keys=True, separators=(",", ":"))
 
@@ -64,23 +87,29 @@ def row_to_line(row: CurveDataRow) -> str:
     return json.dumps({"row": obj, "sha256": digest}, separators=(",", ":"))
 
 
-def row_from_line(line: str, *, offset: int | None = None) -> CurveDataRow:
+def row_from_line(line: str | bytes, *, offset: int | None = None) -> CurveDataRow:
+    """The row of one cache or fixture line; CorruptCache, at offset, if it fails a check."""
     try:
         wrapper = json.loads(line)
         obj = wrapper["row"]
         digest = wrapper["sha256"]
-    except (json.JSONDecodeError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError) as err:  # ValueError covers bad JSON and bad UTF-8
         raise CorruptCache(f"unparseable cache line: {err}", offset=offset) from err
     if hashlib.sha256(_canonical_row_json(obj).encode()).hexdigest() != digest:
         raise CorruptCache("cache line failed its checksum", offset=offset)
     try:
-        kwargs = {k: obj[k] for k in _ROW_FIELDS}
-    except KeyError as err:
-        raise CorruptCache(f"cache row missing field {err}", offset=offset) from err
-    kwargs["ainvs"] = tuple(kwargs["ainvs"])
-    if kwargs["torsion_structure"] is not None:
-        kwargs["torsion_structure"] = tuple(kwargs["torsion_structure"])
-    return CurveDataRow(**kwargs)
+        return row_from_obj(obj)
+    except SchemaMismatch as err:
+        raise CorruptCache(f"cache {err}", offset=offset) from err
+
+
+def _read_rows(fh) -> Iterator[CurveDataRow]:
+    """The checked rows of a binary JSONL stream; a bad line's CorruptCache carries its byte offset."""
+    offset = 0
+    for raw in fh:
+        if raw.strip():
+            yield row_from_line(raw, offset=offset)
+        offset += len(raw)
 
 
 class CurveCache:
@@ -92,20 +121,10 @@ class CurveCache:
         self.directory = Path(directory)
         self.path = self.directory / "curves.jsonl"
 
-    def _iter_lines(self):
-        if not self.path.exists():
-            return
-        offset = 0
-        with open(self.path, "rb") as fh:
-            for raw in fh:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    yield offset, line
-                offset += len(raw)
-
-    def iter_rows(self):
-        for offset, line in self._iter_lines():
-            yield row_from_line(line, offset=offset)
+    def iter_rows(self) -> Iterator[CurveDataRow]:
+        if self.path.exists():
+            with open(self.path, "rb") as fh:
+                yield from _read_rows(fh)
 
     def get(self, label: str) -> CurveDataRow | None:
         found = None
@@ -123,17 +142,8 @@ class CurveCache:
 @lru_cache(maxsize=1)
 def load_fixtures() -> dict[str, CurveDataRow]:
     """Curves shipped with the package, keyed by label."""
-    out: dict[str, CurveDataRow] = {}
-    ref = resources.files("watkins").joinpath("fixtures/curves.jsonl")
-    with ref.open("r", encoding="utf-8") as fh:
-        offset = 0
-        for raw in fh:
-            line = raw.strip()
-            if line:
-                row = row_from_line(line, offset=offset)
-                out[row.label] = row
-            offset += len(raw.encode("utf-8"))
-    return out
+    with resources.files("watkins").joinpath("fixtures/curves.jsonl").open("rb") as fh:
+        return {row.label: row for row in _read_rows(fh)}
 
 
 # ---------------------------------------------------------------------------
@@ -149,44 +159,24 @@ _LABEL_KEYS = ("label", "Clabel", "lmfdb_label")
 def _row_from_remote(obj: dict, source: str) -> CurveDataRow:
     if not isinstance(obj, dict):
         raise SchemaMismatch(f"expected a JSON object per curve, got {type(obj).__name__}")
-    label = next((obj[k] for k in _LABEL_KEYS if obj.get(k)), None)
-    if label is None:
-        raise SchemaMismatch("remote row carries no recognizable label field")
     ainvs = obj.get("ainvs")
     if isinstance(ainvs, str):
         try:
             ainvs = json.loads(ainvs)
         except json.JSONDecodeError as err:
             raise SchemaMismatch(f"unparseable ainvs string: {ainvs!r}") from err
-    if not isinstance(ainvs, list) or len(ainvs) != 5 or not all(isinstance(a, int) for a in ainvs):
-        raise SchemaMismatch(f"ainvs should be five integers, got {ainvs!r}")
-    conductor = obj.get("conductor")
-    if not isinstance(conductor, int):
-        raise SchemaMismatch("remote row carries no integer conductor")
-    torsion = obj.get("torsion_structure")
-    if torsion is not None and not (
-        isinstance(torsion, list) and all(isinstance(t, int) for t in torsion)
-    ):
-        raise SchemaMismatch(f"unexpected torsion_structure {torsion!r}")
-
-    def opt_int(key):
-        v = obj.get(key)
-        if v is None:
-            return None
-        if not isinstance(v, int):
-            raise SchemaMismatch(f"{key} should be an integer, got {v!r}")
-        return v
-
-    return CurveDataRow(
-        label=str(label),
-        ainvs=tuple(ainvs),
-        conductor=conductor,
-        moddeg=opt_int("degree"),
-        manin=opt_int("manin_constant"),
-        rank=opt_int("rank"),
-        torsion_structure=tuple(torsion) if torsion is not None else None,
-        source=source,
-        fetched_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    return row_from_obj(
+        {
+            "label": next((obj[k] for k in _LABEL_KEYS if obj.get(k)), None),
+            "ainvs": ainvs,
+            "conductor": obj.get("conductor"),
+            "moddeg": obj.get("degree"),
+            "manin": obj.get("manin_constant"),
+            "rank": obj.get("rank"),
+            "torsion_structure": obj.get("torsion_structure"),
+            "source": source,
+            "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        }
     )
 
 
@@ -296,15 +286,7 @@ def record_from_row(row: CurveDataRow) -> CurveRecord:
     """Build a verified CurveRecord; lies about the conductor are fatal."""
     if row.manin is not None and row.manin < 1:
         raise ValidationError(f"{row.label}: Manin constant {row.manin} is not positive")
-    record = build_curve_record(
-        row.ainvs,
-        moddeg=row.moddeg,
-        manin=row.manin,
-        rank=row.rank,
-        label=row.label,
-        source=row.source,
-        fetched_at=row.fetched_at,
-    )
+    record = build_curve_record(row.ainvs, moddeg=row.moddeg, manin=row.manin, label=row.label)
     if record.conductor.value != row.conductor:
         raise ValidationError(
             f"{row.label}: remote conductor {row.conductor} != computed {record.conductor.value}"

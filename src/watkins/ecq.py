@@ -198,7 +198,7 @@ def _unit_prime_candidates(c4: int, c6: int) -> list[int]:
         # every prime left in rem is beyond the trial wall, and the
         # fourth power of one may still divide g; a budgeted split decides
         large: dict[int, int] = {}
-        _factor_large(rem, large, 64)
+        _factor_large(rem, large)
         out.extend(sorted(p for p, e in large.items() if e >= 4 and p <= bound))
     return out
 
@@ -448,16 +448,16 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReduction:
     return red
 
 
-def _reductions_over(mm: WeierstrassModel, support) -> list[LocalReduction]:
+def local_reductions(mm: WeierstrassModel, primes) -> list[LocalReduction]:
     """Reduction data at the bad primes of the minimal model mm, ascending.
 
-    support is a set of primes holding every prime of mm.disc; they are
-    divided out of the discriminant, and IncompleteSupport reports a
-    cofactor other than 1.
+    primes is a set holding every prime of mm.disc; they are divided out
+    of the discriminant, and IncompleteSupport reports a cofactor other
+    than 1.
     """
     rest = abs(mm.disc)
     out = []
-    for p in sorted(set(support)):
+    for p in sorted(set(primes)):
         if rest % p:
             continue
         while rest % p == 0:
@@ -473,14 +473,8 @@ def conductor_from_support(mm: WeierstrassModel, support, *, proven: bool) -> Fa
 
     proven is the flag of the factorizations the support came from.
     """
-    fs = tuple((red.p, red.f) for red in _reductions_over(mm, support) if red.f)
+    fs = tuple((red.p, red.f) for red in local_reductions(mm, support) if red.f)
     return Factorization(value=prod(p**f for p, f in fs), sign=1, factors=fs, proven=proven)
-
-
-def local_reductions(m: WeierstrassModel) -> list[LocalReduction]:
-    """Reduction data at every bad prime of the minimal model."""
-    mm = minimal_model(m).model
-    return _reductions_over(mm, factorize(mm.disc).primes())
 
 
 def conductor(m: WeierstrassModel) -> Factorization:
@@ -677,13 +671,17 @@ def _curve_order(a: int, b: int, p: int) -> int:
     raise BudgetExceeded(f"group order mod {p} still ambiguous after twelve points per curve")
 
 
-def a_p(m: WeierstrassModel, p: int, *, naive_limit: int = 500, bsgs_limit: int = 10**8) -> int:
+AP_NAIVE_LIMIT = 500
+AP_BSGS_LIMIT = 10**8
+
+
+def a_p(m: WeierstrassModel, p: int) -> int:
     """Trace of Frobenius at a prime of good reduction.
 
-    Direct point counts up to naive_limit, baby-step/giant-step group
-    order above that, BudgetExceeded past bsgs_limit.  Counting costs
+    Direct point counts up to AP_NAIVE_LIMIT, baby-step/giant-step group
+    order above that, BudgetExceeded past AP_BSGS_LIMIT.  Counting costs
     O(p) and BSGS O(p^1/4) group operations; measured, they break even
-    between p = 450 and 800.  The limit must stay above 229: above it
+    between p = 450 and 800.  AP_NAIVE_LIMIT must stay above 229: above it
     (Mestre) the curve or its twist has a point whose order has one
     multiple in the Hasse window, while below it BSGS can raise
     BudgetExceeded.  The model is expected to be minimal; good
@@ -701,9 +699,9 @@ def a_p(m: WeierstrassModel, p: int, *, naive_limit: int = 500, bsgs_limit: int 
                 if (y * y + m.a1 * x * y + m.a3 * y - x**3 - m.a2 * x * x - m.a4 * x - m.a6) % 2 == 0:
                     count += 1
         return 2 - count
-    if p <= naive_limit:
+    if p <= AP_NAIVE_LIMIT:
         return _ap_naive(m, p)
-    if p <= bsgs_limit:
+    if p <= AP_BSGS_LIMIT:
         a = -27 * m.c4 % p
         b = -54 * m.c6 % p
         ap = p + 1 - _curve_order(a, b, p)
@@ -721,7 +719,7 @@ class CurveRecord(NamedTuple):
     """A curve plus the externally sourced invariants the bounds need.
 
     moddeg is the modular degree, manin the Manin constant; both stay
-    None when unknown.  provenance records where each field came from.
+    None when unknown.
     """
 
     minimal_model: WeierstrassModel
@@ -730,10 +728,7 @@ class CurveRecord(NamedTuple):
     two_torsion_rank: int
     moddeg: int | None = None
     manin: int | None = None
-    rank: int | None = None
     label: str | None = None
-    provenance: tuple[tuple[str, str], ...] = ()
-    fetched_at: str | None = None
 
 
 def build_curve_record(
@@ -741,18 +736,13 @@ def build_curve_record(
     *,
     moddeg: int | None = None,
     manin: int | None = None,
-    rank: int | None = None,
     label: str | None = None,
-    source: str = "user",
-    fetched_at: str | None = None,
 ) -> CurveRecord:
     """Minimalize and verify a curve, recomputing everything derivable."""
     if moddeg is not None and moddeg < 1:
         raise ValueError("the modular degree is a positive integer")
     if manin is not None and manin < 1:
         raise ValueError("the Manin constant is a positive integer")
-    if rank is not None and rank < 0:
-        raise ValueError("rank cannot be negative")
     ainvs = tuple(ainvs)
     ints = tuple(int(v) for v in ainvs)
     if ints != ainvs:
@@ -766,8 +756,5 @@ def build_curve_record(
         two_torsion_rank=two_torsion_rank(mm),
         moddeg=moddeg,
         manin=manin,
-        rank=rank,
         label=label,
-        provenance=(("source", source),),
-        fetched_at=fetched_at,
     )

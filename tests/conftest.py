@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from watkins import data
 from watkins.data import load_fixtures, record_from_row
 
 
@@ -16,6 +21,22 @@ def fixture_rows():
 @pytest.fixture(scope="session")
 def records(fixture_rows):
     return {label: record_from_row(row) for label, row in fixture_rows.items()}
+
+
+@pytest.fixture
+def packaged_fixtures(tmp_path, monkeypatch):
+    """The path load_fixtures reads for the length of one test, empty at the start."""
+    monkeypatch.setattr(data, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    (tmp_path / "fixtures").mkdir()
+    load_fixtures.cache_clear()
+    yield tmp_path / "fixtures" / "curves.jsonl"
+    load_fixtures.cache_clear()
+
+
+def checksummed_line(row: dict) -> str:
+    """A cache or fixture line holding row as it is, with a valid sha256."""
+    canonical = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    return json.dumps({"row": row, "sha256": hashlib.sha256(canonical.encode()).hexdigest()})
 
 
 def brute_ap(model, p: int) -> int:

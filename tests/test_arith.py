@@ -156,12 +156,13 @@ def test_factorize_divisors():
     assert factorize(1).divisors() == [1]
 
 
-def test_factorize_semiprime_beyond_trial_wall():
+def test_factorize_semiprime_beyond_trial_wall(monkeypatch):
     n = 1000003 * 1000033
     f = factorize(n)
     assert f.factors == ((1000003, 1), (1000033, 1)) and f.proven
+    monkeypatch.setattr(arith, "RHO_ROUNDS", 0)
     with pytest.raises(FactoringBudgetExceeded):
-        factorize(n, rho_rounds=0)
+        factorize(n)
 
 
 def test_factorize_unproven_prime_is_flagged():
@@ -326,6 +327,22 @@ def test_prime_discriminant_parts_reconstruct(a):
 
 
 # --- density counting --------------------------------------------------------
+
+
+def test_sieve_cap_comes_before_any_allocation(monkeypatch):
+    monkeypatch.setattr(arith, "_SIEVE_LIMIT", 1000)
+    want = [d for a in range(2, 1001) for d in (a, -a) if _fundamental_ref(d)]
+    assert list(enumerate_fundamental_discriminants(1000)) == want
+    assert count_omega_at_most(1000, 1) == 1 + sum(1 for n in range(2, 1001) if _omega_ref(n) == 1)
+
+    def no_allocation(*args):
+        raise AssertionError("the sieve allocated past its cap")
+
+    monkeypatch.setattr(arith, "bytearray", no_allocation, raising=False)
+    with pytest.raises(BudgetExceeded, match="capped at 1000"):
+        next(enumerate_fundamental_discriminants(1001))
+    with pytest.raises(BudgetExceeded, match="capped at 1000"):
+        count_omega_at_most(1001, 1)
 
 
 def test_count_omega_frozen_value():

@@ -337,7 +337,7 @@ def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypat
         verify_twist(rec, d)
     assert len(calls) == n_candidates
     # a record that differs in any field gets its own check
-    verify_twist(rec._replace(fetched_at="2000-01-01"), 5)
+    verify_twist(rec._replace(label="17a1-relabelled"), 5)
     assert len(calls) == 2 * n_candidates
     verify_twist(rec._replace(), 5)
     assert len(calls) == 2 * n_candidates

@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import watkins
+from watkins import arith, ecq
 from watkins.certify import CERT_FIELDS
 from watkins.cli import main
+
+from conftest import checksummed_line
 
 
 @pytest.fixture(autouse=True)
@@ -200,6 +203,43 @@ def test_density_rejects_negative_input(capsys, x, a):
     assert err.startswith("error:") and ">= 0" in err
 
 
+def test_conductor_command_reuses_the_record(capsys, monkeypatch):
+    calls = []
+    real = ecq.minimal_model
+    monkeypatch.setattr(ecq, "minimal_model", lambda m: calls.append(m) or real(m))
+    code, out, _ = run(capsys, "conductor", "--curve", "0,-1,0,-4,4")
+    assert code == 0 and len(calls) == 1  # the record's, none for the local data
+    assert json.loads(out)["local"] == [
+        {"p": "2", "kodaira": "I1*", "f": "3", "kind": "additive"},
+        {"p": "3", "kodaira": "I2", "f": "1", "kind": "multiplicative"},
+    ]
+
+
+# a cache row and a fixture row, each valid as it stands
+ROW_389 = {"label": "389a1", "ainvs": [0, 1, 1, -2, 0], "conductor": 389, "moddeg": 40, "manin": 1,
+           "rank": 2, "torsion_structure": [], "source": "lmfdb", "fetched_at": "2021-02-08T00:00:00Z"}
+ROW_17 = {"label": "17a1", "ainvs": [1, -1, 1, -1, -14], "conductor": 17, "moddeg": 1, "manin": 1,
+          "rank": 0, "torsion_structure": [4], "source": "builtin", "fetched_at": None}
+BAD_FIELDS = [{"ainvs": 5}, {"ainvs": [0, 1, 1, -2]}, {"ainvs": [0, 1, None, -2, 0]},
+              {"conductor": "389"}, {"moddeg": "2"}, {"rank": -1}]
+
+
+@pytest.mark.parametrize("bad", [{}, *BAD_FIELDS], ids=json.dumps)
+@pytest.mark.parametrize("source", ["cache", "fixture"])
+def test_checksummed_row_of_the_wrong_type_exits_two(capsys, request, tmp_path, source, bad):
+    if source == "cache":
+        path, row, good = tmp_path / "cache" / "curves.jsonl", ROW_389, (3, "INAPPLICABLE(no_two_torsion)")
+        path.parent.mkdir()
+    else:
+        path, row, good = request.getfixturevalue("packaged_fixtures"), ROW_17, (0, "CERTIFIED")
+    path.write_text(checksummed_line({**row, **bad}) + "\n")
+    code, out, err = run(capsys, "verify", "--label", row["label"], "--offline", "--d", "5")
+    if bad:
+        assert code == 2 and out == "" and err.startswith("error:")
+    else:
+        assert (code, json.loads(out)["verdict"]) == good
+
+
 def test_fetch_command(capsys):
     code, out, _ = run(capsys, "fetch", "--label", "17a1", "--offline")
     assert code == 0
@@ -306,6 +346,52 @@ def test_scan_rejects_bad_jobs(capsys):
         capsys, "scan", "--label", "17a1", "--offline", "--d-bound", "10", "--jobs", "0"
     )
     assert code == 2 and "--jobs" in err
+
+
+class FakePool:
+    """Stands in for multiprocessing.Pool: runs the scan in this process, starting none."""
+
+    def __init__(self, processes, initializer, initargs):
+        STARTED.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, iterable, chunksize=1):
+        return map(func, iterable)
+
+
+STARTED: list[int] = []
+
+
+@pytest.mark.parametrize("cpus, jobs, started", [(2, 64, [2]), (4, 3, [3]), (1, 8, [])])
+def test_scan_starts_at_most_one_worker_per_usable_cpu(capsys, monkeypatch, cpus, jobs, started):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    STARTED.clear()
+    argv = ("scan", "--label", "17a1", "--offline", "--d-bound", "40", "--jobs")
+    code, out, _ = run(capsys, *argv, str(jobs))
+    assert code == 0 and STARTED == started
+    assert run(capsys, *argv, "1") == (0, out, "")
+
+
+def test_scan_and_density_share_the_sieve_cap(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(arith, "_SIEVE_LIMIT", 1000)
+    out_file = tmp_path / "scan.jsonl"
+    code, out, err = run(capsys, "scan", "--label", "17a1", "--offline", "--d-bound", "1001", "--out", str(out_file))
+    assert code == 2 and out == "" and err.startswith("error:") and "1000" in err
+    assert not out_file.exists()
+    code, out, err = run(capsys, "density", "1001", "2")
+    assert code == 2 and out == "" and err.startswith("error:") and "1000" in err
+    code, out, _ = run(capsys, "density", "1000", "2")
+    assert code == 0 and json.loads(out)["count"] == str(arith.count_omega_at_most(1000, 2))
 
 
 # --- a cold process ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from watkins.data import (
     load_fixtures,
     record_from_row,
     row_from_line,
+    row_from_obj,
     row_to_line,
     validate_row,
 )
@@ -23,6 +24,8 @@ from watkins.errors import (
     SchemaMismatch,
     ValidationError,
 )
+
+from conftest import checksummed_line
 
 ROW_389 = CurveDataRow(
     label="389a1",
@@ -105,13 +108,52 @@ def test_unparseable_line():
 def test_missing_field_is_corrupt():
     obj = json.loads(row_to_line(ROW_389))["row"]
     del obj["rank"]
-    import hashlib
-
-    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    line = json.dumps({"row": obj, "sha256": digest})
     with pytest.raises(CorruptCache, match="missing field"):
-        row_from_line(line)
+        row_from_line(checksummed_line(obj))
+
+
+# one wrongly typed field each; every one passes its checksum
+BAD_FIELDS = [
+    {"label": ""},
+    {"label": 389},
+    {"ainvs": 5},
+    {"ainvs": [0, 1, 1, -2]},
+    {"ainvs": [0, 1, None, -2, 0]},
+    {"ainvs": [0, True, 1, -2, 0]},
+    {"ainvs": "[0,1,1,-2,0]"},
+    {"conductor": "389"},
+    {"conductor": None},
+    {"moddeg": "40"},
+    {"manin": 1.0},
+    {"rank": -1},
+    {"rank": "2"},
+    {"torsion_structure": ["2"]},
+    {"torsion_structure": 2},
+    {"source": None},
+    {"fetched_at": 0},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_FIELDS, ids=json.dumps)
+def test_row_check_refuses_wrongly_typed_fields(bad):
+    obj = {**json.loads(row_to_line(ROW_389))["row"], **bad}
+    (field,) = bad
+    with pytest.raises(SchemaMismatch, match=f"row field {field} "):
+        row_from_obj(obj)
+    with pytest.raises(CorruptCache, match=f"row field {field} ") as exc:
+        row_from_line(checksummed_line(obj), offset=7)
+    assert exc.value.offset == 7
+
+
+def test_row_check_takes_rows_in_the_on_disk_schema():
+    obj = json.loads(row_to_line(ROW_389))["row"]
+    assert row_from_obj(obj) == ROW_389
+    assert row_from_obj({**obj, "rank": None, "torsion_structure": None, "extra": 1}) == ROW_389._replace(
+        rank=None, torsion_structure=None
+    )
+    for not_a_dict in ([obj], None, "row"):
+        with pytest.raises(SchemaMismatch):
+            row_from_obj(not_a_dict)
 
 
 def test_offset_is_reported(tmp_path):
@@ -123,6 +165,22 @@ def test_offset_is_reported(tmp_path):
     with pytest.raises(CorruptCache) as exc:
         list(cache.iter_rows())
     assert exc.value.offset == good_len
+
+
+def test_cache_and_fixture_lines_share_one_reader(tmp_path, packaged_fixtures):
+    # a blank line, a good line, then bytes that are not UTF-8, in both files
+    good = row_to_line(ROW_389).encode()
+    cache = CurveCache(tmp_path / "cache")
+    cache.directory.mkdir()
+    for path in (cache.path, packaged_fixtures):
+        path.write_bytes(b"\n" + good + b"\n\xc3(\n")
+    for read in (lambda: list(cache.iter_rows()), load_fixtures):
+        with pytest.raises(CorruptCache) as exc:
+            read()
+        assert exc.value.offset == len(good) + 2
+    packaged_fixtures.write_bytes(good + b"\n")
+    load_fixtures.cache_clear()
+    assert load_fixtures() == {"389a1": ROW_389}
 
 
 # --- cache ----------------------------------------------------------------------
@@ -191,6 +249,7 @@ def test_remote_schema_mismatches():
         _remote_payload(degree="40"),  # stringly degree
         _remote_payload(torsion_structure=["2"]),
         _remote_payload(Clabel=None),  # no label at all
+        _remote_payload(rank=-1),
     ]
     for payload in cases:
         client = LmfdbClient(FakeTransport(FakeResponse(payload)), delay=0)
@@ -294,5 +353,5 @@ def test_record_from_row_hard_failures():
 def test_record_from_row_carries_invariants():
     rec = record_from_row(ROW_389)
     assert rec.label == "389a1"
-    assert rec.moddeg == 40 and rec.manin == 1 and rec.rank == 2
+    assert rec.moddeg == 40 and rec.manin == 1
     assert rec.conductor.value == 389

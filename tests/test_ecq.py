@@ -278,7 +278,7 @@ def test_conductors_match_catalog(records, fixture_rows):
 
 def test_conductor_exponent_caps(records):
     for rec in records.values():
-        for red in local_reductions(rec.minimal_model):
+        for red in local_reductions(rec.minimal_model, rec.min_disc.primes()):
             cap = {2: 8, 3: 5}.get(red.p, 2)
             assert 0 < red.f <= cap
 
@@ -358,32 +358,37 @@ def test_point_count_against_brute_force_at_every_good_prime_to_500(records):
                 assert ecq._ap_naive(m, p) == brute_ap(m, p), (label, p)
 
 
-def test_ap_naive_and_bsgs_agree(records):
+def test_ap_naive_and_bsgs_agree(records, monkeypatch):
     for label in ("11a1", "17a1", "37a1"):
         m = records[label].minimal_model
         for p in (101, 997, 10007):
-            assert a_p(m, p, naive_limit=3) == a_p(m, p, naive_limit=10**5), (label, p)
+            monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", 10**5)
+            counted = a_p(m, p)
+            monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", 3)
+            assert a_p(m, p) == counted, (label, p)
 
 
 def _two_torsion_models(records):
     return [(label, rec.minimal_model) for label, rec in sorted(records.items()) if rec.two_torsion_rank]
 
 
-def test_bsgs_matches_point_count_on_every_prime_to_10k(records):
+def test_bsgs_matches_point_count_on_every_prime_to_10k(records, monkeypatch):
+    monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", 3)
     primes = [p for p in small_primes() if 230 <= p < 10**4]
     for label, m in _two_torsion_models(records):
         for p in primes:
             if m.disc % p:
-                assert a_p(m, p, naive_limit=3) == ecq._ap_naive(m, p), (label, p)
+                assert a_p(m, p) == ecq._ap_naive(m, p), (label, p)
 
 
-def test_bsgs_matches_point_count_at_seeded_large_primes(records):
+def test_bsgs_matches_point_count_at_seeded_large_primes(records, monkeypatch):
+    monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", 3)
     rng = random.Random(2)
     models = _two_torsion_models(records)
     for p in rng.sample([p for p in small_primes() if 10**4 < p <= 2 * 10**5], 20):
         label, m = rng.choice(models)
         if m.disc % p:
-            assert a_p(m, p, naive_limit=3) == ecq._ap_naive(m, p), (label, p)
+            assert a_p(m, p) == ecq._ap_naive(m, p), (label, p)
 
 
 def test_default_limit_counts_points_up_to_the_mestre_floor(records, monkeypatch):
@@ -391,12 +396,14 @@ def test_default_limit_counts_points_up_to_the_mestre_floor(records, monkeypatch
     # has one multiple in the Hasse window, and BSGS gives up
     small = [p for p in small_primes() if 2 < p <= 229]
     gave_up = 0
+    default_limit = ecq.AP_NAIVE_LIMIT
+    monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", 3)
     for rec in records.values():
         m = rec.minimal_model
         for p in small:
             if m.disc % p:
                 try:
-                    assert a_p(m, p, naive_limit=3) == ecq._ap_naive(m, p), (rec.label, p)
+                    assert a_p(m, p) == ecq._ap_naive(m, p), (rec.label, p)
                 except BudgetExceeded:
                     gave_up += 1
     assert gave_up
@@ -404,6 +411,7 @@ def test_default_limit_counts_points_up_to_the_mestre_floor(records, monkeypatch
     def no_bsgs(*args):
         raise AssertionError("a_p ran BSGS at or below the Mestre floor")
 
+    monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", default_limit)
     monkeypatch.setattr(ecq, "_curve_order", no_bsgs)
     for rec in records.values():
         m = rec.minimal_model
@@ -458,14 +466,15 @@ def test_ap_hasse_bound(records):
         assert a_p(m, p) ** 2 <= 4 * p
 
 
-def test_ap_rejects_bad_input(records):
+def test_ap_rejects_bad_input(records, monkeypatch):
     m = records["17a1"].minimal_model
     with pytest.raises(ValueError):
         a_p(m, 15)
     with pytest.raises(BadReduction):
         a_p(m, 17)
+    monkeypatch.setattr(ecq, "AP_BSGS_LIMIT", 10**4)
     with pytest.raises(BudgetExceeded):
-        a_p(m, 100003, bsgs_limit=10**4)
+        a_p(m, 100003)
 
 
 # --- records --------------------------------------------------------------------------
@@ -494,7 +503,7 @@ def test_build_curve_record_conductor_matches_conductor(fixture_rows, monkeypatc
 
 
 def test_build_curve_record_validates_invariants():
-    for kwargs in ({"moddeg": 0}, {"manin": 0}, {"rank": -1}):
+    for kwargs in ({"moddeg": 0}, {"manin": 0}):
         with pytest.raises(ValueError):
             build_curve_record((0, 0, 1, -1, 0), **kwargs)
     for ainvs in ((0, 0, 0, 1.5, 1), (0, 0, 1, "-1", 0)):
