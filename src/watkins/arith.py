@@ -4,10 +4,11 @@
 and whether k is squarefree, for every k up to the bound (at most 10^7).
 
 Factoring is trial division to TRIAL_LIMIT, then Brent's rho under an
-explicit round budget.  Primality is Miller-Rabin with the deterministic
-base set below the proven bound, and a seeded probabilistic fallback
-above it; results carry a ``proven`` flag so downstream certificates can
-record the assumption instead of hiding it.
+explicit round budget.  Primality is Miller-Rabin over the shortest
+prefix of 13 bases that is proven for n, and a seeded probabilistic
+fallback past the last proven bound; results carry a ``proven`` flag
+so downstream certificates can record the assumption instead of
+hiding it.
 
 Trial division reads a table of small primes that grows on demand: it
 starts with the primes below 1024 and doubles its sieve bound, up to
@@ -29,9 +30,12 @@ TRIAL_LIMIT = 10**6
 # Brent rho restarts per composite before FactoringBudgetExceeded, read on each call
 RHO_ROUNDS = 64
 
-# Deterministic Miller-Rabin witness set, valid for n < _MR_PROVEN_BOUND.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+# Miller-Rabin bases, and psi_k (OEIS A014233): the first k bases prove
+# every odd n < _MR_PREFIX_BOUNDS[k - 1] that passes them prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PREFIX_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+                     341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+                     318665857834031151167461, 3317044064679887385961981)
 
 
 def _sieve(n: int) -> tuple[int, ...]:
@@ -148,22 +152,23 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
 def _is_prime(n: int) -> tuple[bool, bool]:
     """(is_prime, proven).
 
-    proven=False only for probable primes beyond the deterministic
-    Miller-Rabin bound; those passed 24 extra seeded rounds.
+    Bases run in order, and stop at the first k with n < psi_k.
+    proven=False only for probable primes at or past psi_13; those
+    passed 24 extra seeded rounds.
     """
     if n < 2:
         return False, True
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p, True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a, bound in zip(_MR_BASES, _MR_PREFIX_BOUNDS):
         if _mr_witness(n, a, d, s):
             return False, True
-    if n < _MR_PROVEN_BOUND:
-        return True, True
+        if n < bound:
+            return True, True
     rng = random.Random(n & 0xFFFFFFFFFFFF)
     for _ in range(24):
         a = rng.randrange(2, n - 2)

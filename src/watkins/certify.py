@@ -257,12 +257,11 @@ def verify_twist(
             raise NotMinimalTwist(f"the twist by {witness} has a smaller conductor")
         v2m, assumptions = _v2_moddeg(curve, assume_manin)
 
-        twist_min = minimal_model(quadratic_twist(curve.minimal_model, d)).model
-        # Delta_min(E^D) divides 2^a * 3^b * d^6 * Delta_min(E)
+        # the twist model's discriminant is d^6 * Delta_min(E), times 6^12 unless E is short
+        support = {2, 3, *d_fact.primes(), *curve.min_disc.primes()}
+        twist_min = minimal_model(quadratic_twist(curve.minimal_model, d), support).model
         twist_cond = conductor_from_support(
-            twist_min,
-            {2, 3, *d_fact.primes(), *curve.min_disc.primes()},
-            proven=d_fact.proven and curve.min_disc.proven,
+            twist_min, support, proven=d_fact.proven and curve.min_disc.proven
         )
         if twist_cond.value % curve.conductor.value:
             raise ConductorDivisibility(f"N = {curve.conductor.value} does not divide N_D = {twist_cond.value}")

@@ -104,11 +104,15 @@ def row_from_line(line: str | bytes, *, offset: int | None = None) -> CurveDataR
 
 
 def _read_rows(fh) -> Iterator[CurveDataRow]:
-    """The checked rows of a binary JSONL stream; a bad line's CorruptCache carries its byte offset."""
+    """The checked rows of a binary JSONL file; a bad line's CorruptCache names the file, line and byte offset."""
     offset = 0
-    for raw in fh:
+    for lineno, raw in enumerate(fh, 1):
         if raw.strip():
-            yield row_from_line(raw, offset=offset)
+            try:
+                row = row_from_line(raw, offset=offset)
+            except CorruptCache as err:
+                raise CorruptCache(f"{fh.name} line {lineno} (byte {offset}): {err}", offset=offset) from err
+            yield row
         offset += len(raw)
 
 

@@ -10,7 +10,7 @@ the valuation table at p >= 5), quadratic twisting, rational
 from __future__ import annotations
 
 import random
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .arith import (
@@ -242,9 +242,12 @@ class MinimalModelResult(NamedTuple):
     t: int
 
 
-def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
+def minimal_model(m: WeierstrassModel, support=None) -> MinimalModelResult:
     """Global minimal model in reduced form, with the transform back.
 
+    support, when given, is a prime set holding every prime of the
+    scaling unit (every prime of m.disc will do), and the unit is
+    sought among them instead of by trial division.
     transform_model(m, u, r, s, t) == model holds on the result; it is
     checked here in integer arithmetic, and InvariantViolation reports
     a failure.
@@ -252,7 +255,7 @@ def minimal_model(m: WeierstrassModel) -> MinimalModelResult:
     c4, c6 = m.c4, m.c6
     disc1728 = 1728 * m.disc
     u = 1
-    cands = _unit_prime_candidates(c4, c6)
+    cands = _unit_prime_candidates(c4, c6) if support is None else sorted(support)
     for p in [q for q in cands if q != 2] + [2] * (2 in cands):
         e = _scaling_exponent(c4, c6, disc1728, p)
         if e:
@@ -556,14 +559,35 @@ def _ec_add(P, Q, a: int, p: int):
     return (x3, (lam * (x1 - x3) - y1) % p)
 
 
-def _ec_mul(k: int, P, a: int, p: int):
-    R = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, a, p)
-        P = _ec_add(P, P, a, p)
-        k >>= 1
-    return R
+def _ec_scale(k: int, P, a: int, p: int):
+    """k*P for k >= 0: double-and-add in Jacobian coordinates, one inversion."""
+    x1, y1 = P
+    X, Y, Z = x1, y1, 1 if k else 0  # x = X/Z^2, y = Y/Z^3; Z = 0 at O
+    for bit in bin(k)[3:]:
+        if Z:
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            M = (3 * X * X + a * pow(Z, 4, p)) % p
+            X = (M * M - 2 * S) % p
+            Y, Z = (M * (S - X) - 8 * YY * YY) % p, 2 * Y * Z % p
+        if bit == "0":
+            continue
+        ZZ = Z * Z % p
+        H = (x1 * ZZ - X) % p
+        r = (y1 * ZZ * Z - Y) % p
+        if Z and H:
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X * HH % p
+            X = (r * r - HHH - 2 * V) % p
+            Y, Z = (r * (V - X) - Y * HHH) % p, Z * H % p
+        else:  # the sum so far is O, P (r = 0) or -P
+            Q = P if not Z else None if r else _ec_add(P, P, a, p)
+            X, Y, Z = (0, 1, 0) if Q is None else (*Q, 1)
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    return (X * zi * zi % p, Y * zi * zi * zi % p)
 
 
 def _sqrt_mod(n: int, p: int) -> int:
@@ -602,27 +626,49 @@ def _random_point(a: int, b: int, p: int, rng: random.Random):
 
 
 def _bsgs_annihilators(P, lo: int, hi: int, a: int, p: int) -> list[int]:
-    """The n in [lo, hi] with n*P = O, ascending, from one scan of the window.
+    """Every n in [lo, hi] with n*P = O, ascending.
 
-    A giant step finds the smallest such n among the baby-step count of
-    integers it covers, so the list holds them all when P's order is at
-    least that count, and at least two whenever the window holds two.
+    A giant point cP with x(cP) = x(jP), 1 <= j <= m, is +-jP, and its y
+    says whether c - j or c + j kills P; each giant step covers 2m + 1
+    integers.  An order of at most 2m + 1 shows in the baby steps.
     """
-    width = hi - lo + 1
-    mstep = isqrt(width) + 1
-    baby = {}
-    Q = None
-    for j in range(mstep):
-        baby.setdefault(Q, j)
-        Q = _ec_add(Q, P, a, p)
-    S = _ec_mul(mstep, P, a, p)
-    R = _ec_mul(lo, P, a, p)
-    out = []
-    for base in range(lo, hi + 1, mstep):
-        j = baby.get(None if R is None else (R[0], (-R[1]) % p))
-        if j is not None and base + j <= hi:
-            out.append(base + j)
-        R = _ec_add(R, S, a, p)
+    m = isqrt((hi - lo + 1) // 2) + 1
+    x1, y1 = P
+    baby, ys = {}, [None]  # x(jP) -> j, and ys[j] = y(jP)
+    x, y, small = x1, y1, None  # small: a multiple of P's order, once one shows
+    for j in range(1, m + 1):
+        i = baby.get(x)
+        if i is not None or y == 0:  # jP = +-iP, or jP = -jP
+            small = 2 * j if i is None else j - i if y == ys[i] else j + i
+            break
+        baby[x] = j
+        ys.append(y)
+        # (j+1)P; jP = +-P only at j = 1, as x(P) is taken
+        lam = ((3 * x * x + a) * pow(2 * y, -1, p) if j == 1 else (y - y1) * pow(x - x1, -1, p)) % p
+        x3 = (lam * lam - x - x1) % p
+        x, y = x3, (lam * (x - x3) - y) % p
+    if small is None and x != (xm := next(reversed(baby))):
+        # S = mP + (m+1)P = (2m+1)P, and the giant point (cx, cy) = cP for c = lo + m, ...
+        lam = (y - ys[m]) * pow(x - xm, -1, p) % p
+        sx = (lam * lam - xm - x) % p
+        sy = (lam * (xm - sx) - ys[m]) % p
+        cx, cy = _ec_scale(lo + m, P, a, p) or (None, None)
+        out = []
+        for c in range(lo + m, hi + m + 1, 2 * m + 1):
+            j = 0 if cx is None else baby.get(cx)
+            if j is not None:  # cP = O, or +-jP
+                n = c - j if j and cy == ys[j] else c + j
+                if lo <= n <= hi:
+                    out.append(n)
+            if cx is None or cx == sx:  # cP is O or +-S
+                cx, cy = _ec_add(None if cx is None else (cx, cy), (sx, sy), a, p) or (None, None)
+            else:
+                lam = (cy - sy) * pow(cx - sx, -1, p) % p
+                x3 = (lam * lam - cx - sx) % p
+                cx, cy = x3, (lam * (cx - x3) - cy) % p
+    else:  # (m+1)P = -mP when small is None: P's order divides 2m + 1
+        e = _exact_order(P, small or 2 * m + 1, a, p)
+        out = list(range(-(-lo // e) * e, hi + 1, e))
     if not out:
         raise InvariantViolation("no annihilator in the Hasse window")
     return out
@@ -631,26 +677,21 @@ def _bsgs_annihilators(P, lo: int, hi: int, a: int, p: int) -> list[int]:
 def _exact_order(P, n: int, a: int, p: int) -> int:
     e = n
     for q, _ in factorize(n).factors:
-        while e % q == 0 and _ec_mul(e // q, P, a, p) is None:
+        while e % q == 0 and _ec_scale(e // q, P, a, p) is None:
             e //= q
     return e
 
 
 def _order_from_points(a: int, b: int, p: int, rng: random.Random, tries: int):
-    lo = p + 1 - isqrt(4 * p)
-    hi = p + 1 + isqrt(4 * p)
-    L = 1
+    lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+    left = None  # the n in the window that kill every point so far
     for _ in range(tries):
-        P = _random_point(a, b, p, rng)
-        ns = _bsgs_annihilators(P, lo, hi, a, p)
-        if len(ns) == 1:
-            return ns[0]  # the group order is in the window and kills P
-        L = lcm(L, _exact_order(P, ns[0], a, p))
-        k0 = ((lo + L - 1) // L) * L
-        if k0 > hi:
+        ns = _bsgs_annihilators(_random_point(a, b, p, rng), lo, hi, a, p)
+        left = set(ns) if left is None else left.intersection(ns)
+        if len(left) == 1:
+            return left.pop()  # the group order is in the window and kills every point
+        if not left:
             raise InvariantViolation("no multiple of the exponent in the Hasse window")
-        if k0 + L > hi:
-            return k0
     return None  # group exponent too small to pin the order down
 
 

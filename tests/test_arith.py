@@ -1,5 +1,7 @@
 """Valuations, factoring, and fundamental discriminants."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -133,6 +135,35 @@ def test_is_prime_on_carmichael_numbers():
 def test_is_prime_beyond_deterministic_bound():
     ok, proven = _is_prime(M89)
     assert ok and not proven
+
+
+# psi_k (OEIS A014233): the least odd composite that passes Miller-Rabin at the first k prime bases
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_is_prime_refuses_every_psi_k():
+    for k, n in enumerate(PSI, 1):
+        assert _is_prime(n) == (False, True), k
+    # psi_12 passes every base up to 37, so the thirteenth base, 41, is what refuses it
+    f = factorize(PSI[11])
+    assert f.factors == ((399165290221, 1), (798330580441, 1)) and f.proven
+    # and the thirteen bases prove the next prime, still below psi_13
+    assert _is_prime(318665857834031151167483) == (True, True)
+
+
+def test_is_prime_and_factorize_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in PSI:
+        for m in range(n - 40, n + 41, 2):
+            assert _is_prime(m)[0] == sympy.isprime(m), m
+    rng = random.Random(12)
+    for _ in range(2):
+        n = sympy.nextprime(rng.randrange(10**11, 10**12)) * sympy.nextprime(rng.randrange(10**11, 10**12))
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
 def test_factorize_small():

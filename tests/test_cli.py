@@ -240,6 +240,17 @@ def test_checksummed_row_of_the_wrong_type_exits_two(capsys, request, tmp_path, 
         assert (code, json.loads(out)["verdict"]) == good
 
 
+def test_corrupt_cache_line_is_named_by_file_and_line(capsys, tmp_path):
+    cache = tmp_path / "cache" / "curves.jsonl"
+    cache.parent.mkdir()
+    first = checksummed_line(ROW_389) + "\n"
+    second = checksummed_line({**ROW_389, "label": "389a9"}).replace('"conductor": 389', '"conductor": 388')
+    cache.write_text(first + second + "\n")
+    code, out, err = run(capsys, "fetch", "--label", "389a9", "--offline")
+    assert code == 2 and out == ""
+    assert err == f"error: {cache} line 2 (byte {len(first)}): cache line failed its checksum\n"
+
+
 def test_fetch_command(capsys):
     code, out, _ = run(capsys, "fetch", "--label", "17a1", "--offline")
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from watkins import ecq
+from watkins import arith, ecq
 from watkins.arith import small_primes
 from watkins.ecq import (
     WeierstrassModel,
@@ -169,6 +169,32 @@ def test_minimal_model_undoes_transforms(records, label, k, r, s, t):
     blown = transform_model(m, Fraction(1, k), r, s, t)
     assert blown.disc == m.disc * k**12
     assert minimal_model(blown).model == m
+
+
+# fundamental discriminants coprime to 1000003 and 1000033, both above TRIAL_LIMIT
+SMALL_FUNDAMENTAL = (-8, -7, -4, -3, 5, 8, 12, 13, -15, 17, -20, 21, -24, 28, 40, -84, 105, -120, 1001)
+LARGE_PRIME_PARTS = (1, -1000003, 1000033)  # p* = +-p, 1 (mod 4)
+
+
+@given(
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=-20, max_value=20).filter(bool),
+    st.sampled_from((1, 5, 7)),
+    st.sampled_from(SMALL_FUNDAMENTAL),
+    st.sampled_from(LARGE_PRIME_PARTS),
+)
+@settings(max_examples=150, deadline=None)
+def test_minimal_model_over_a_support_matches_trial_division(a, b, s, d0, large):
+    # y^2 = x(x^2 + s a x + s^2 b) twisted by d, with the prime set verify_twist passes;
+    # the scaling unit holds 2 and 3, and s too when s divides d
+    if a * a == 4 * b:
+        return
+    d = d0 * large
+    assert arith.is_fundamental_discriminant(d)
+    base = minimal_model(WeierstrassModel(0, s * a, 0, s * s * b, 0)).model
+    twisted = quadratic_twist(base, d)
+    support = {2, 3, *arith.factorize(d).primes(), *arith.factorize(base.disc).primes()}
+    assert minimal_model(twisted, support) == minimal_model(twisted)
 
 
 @given(
@@ -433,6 +459,16 @@ def _order_by_exact_orders(a, b, p, rng, tries):
     return None
 
 
+def _annihilators_by_walk(P, lo, hi, a, p):
+    # the reference for _bsgs_annihilators: add P up to hi*P, one addition at a time
+    out, R = [], None
+    for n in range(1, hi + 1):
+        R = ecq._ec_add(R, P, a, p)
+        if R is None and n >= lo:
+            out.append(n)
+    return out
+
+
 def test_one_annihilator_shortcut_matches_exact_order_path():
     rng = random.Random(20261018)
     primes = [p for p in small_primes() if 230 <= p < 20000]
@@ -446,11 +482,7 @@ def test_one_annihilator_shortcut_matches_exact_order_path():
         lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
         for P in (ecq._random_point(a, b, p, rng), (r, 0)):
             ns = ecq._bsgs_annihilators(P, lo, hi, a, p)
-            every = [n for n in range(lo, hi + 1) if ecq._ec_mul(n, P, a, p) is None]
-            if ecq._exact_order(P, every[0], a, p) > isqrt(hi - lo + 1):
-                assert ns == every, (a, b, p, P)
-            else:
-                assert len(ns) >= 2 and set(ns) <= set(every), (a, b, p, P)
+            assert ns == _annihilators_by_walk(P, lo, hi, a, p), (a, b, p, P)
         seed = rng.random()
         got = ecq._order_from_points(a, b, p, random.Random(seed), 12)
         assert got == _order_by_exact_orders(a, b, p, random.Random(seed), 12), (a, b, p)
@@ -458,6 +490,51 @@ def test_one_annihilator_shortcut_matches_exact_order_path():
         euler = (pow(x**3 + a * x + b, (p - 1) // 2, p) for x in range(p))
         count = 1 + sum(1 + (1 if c == 1 else -1 if c else 0) for c in euler)
         assert ecq._curve_order(a, b, p) == count, (a, b, p)
+
+
+def _random_two_torsion_curve(rng, p):
+    # y^2 = x^3 + a x + b through (r, 0), nonsingular mod p
+    while True:
+        a, r = rng.randrange(p), rng.randrange(p)
+        b = -(r**3 + a * r) % p
+        if (4 * a**3 + 27 * b * b) % p:
+            return a, b, r
+
+
+def test_bsgs_annihilators_match_an_addition_walk():
+    rng = random.Random(7)
+    primes = [p for p in small_primes() if 230 <= p < 20000]
+    seen = {"random": 0, "order 2": 0, "small order": 0, "order 2m+1": 0}
+    while seen["random"] < 30 or seen["order 2m+1"] < 6:
+        p = rng.choice(primes)
+        a, b, r = _random_two_torsion_curve(rng, p)
+        lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+        m = isqrt((hi - lo + 1) // 2) + 1
+        order = ecq._curve_order(a, b, p)
+        P = ecq._random_point(a, b, p, rng)
+        # (order/k)*P has order dividing k: small orders, and 2m + 1, the baby steps' reach
+        points = [] if seen["random"] >= 30 else [("random", P), ("order 2", (r, 0))]
+        for k in (3, 4, 5, 6, 7, 9, 2 * m + 1):
+            if order % k == 0 and (Q := ecq._ec_scale(order // k, P, a, p)) is not None:
+                exact = ecq._exact_order(Q, order, a, p) == 2 * m + 1
+                if exact or points:
+                    points.append(("order 2m+1" if exact else "small order", Q))
+        for kind, Q in points:
+            assert ecq._bsgs_annihilators(Q, lo, hi, a, p) == _annihilators_by_walk(Q, lo, hi, a, p), (a, b, p, Q)
+            seen[kind] += 1
+    assert min(seen.values()) >= 6, seen
+
+
+def test_jacobian_multiply_matches_repeated_addition():
+    rng = random.Random(11)
+    for p in (5, 7, 13, 101, 233):
+        for _ in range(4):
+            a, b, r = _random_two_torsion_curve(rng, p)
+            for P in (ecq._random_point(a, b, p, rng), (r, 0)):
+                R = None
+                for k in range(3 * p + 1):  # past the group order, so its multiples too
+                    assert ecq._ec_scale(k, P, a, p) == R, (a, b, p, P, k)
+                    R = ecq._ec_add(R, P, a, p)
 
 
 def test_ap_hasse_bound(records):
