@@ -10,11 +10,11 @@ fallback past the last proven bound; results carry a ``proven`` flag
 so downstream certificates can record the assumption instead of
 hiding it.
 
-Trial division reads a table of small primes that grows on demand: it
-starts with the primes below 1024 and doubles its sieve bound, up to
-TRIAL_LIMIT, only when a loop reaches its last prime and still needs
-larger ones.  A process that factors only small numbers never sieves
-far.
+Trial division, which only `factorize` runs, reads a table of small
+primes that grows on demand: it starts with the primes below 1024 and
+doubles its sieve bound, up to TRIAL_LIMIT, only when a loop reaches
+its last prime and still needs larger ones.  A process that factors
+only small numbers never sieves far.
 """
 
 from __future__ import annotations
@@ -85,15 +85,14 @@ def small_primes() -> tuple[int, ...]:
     return _sieve(TRIAL_LIMIT)
 
 
-def _trial_divide(m: int, found: dict[int, int], bound: int = TRIAL_LIMIT, root: int = 2) -> int:
-    """Divide the primes p <= bound out of m > 0 while p**root <= m; return the rest.
+def _trial_divide(m: int, found: dict[int, int]) -> int:
+    """Divide the primes p with p * p <= m out of m > 0; return the rest.
 
     m shrinks as primes are divided out, and each goes into found with
-    its exponent.  With root = 2 the cofactor is 1, a prime, or a
-    number whose primes all exceed bound or the largest prime below
-    TRIAL_LIMIT.
+    its exponent.  The cofactor is 1, a prime, or a number whose primes
+    all exceed the largest prime below TRIAL_LIMIT.
     """
-    lim = min(_iroot(m, root), bound)
+    lim = math.isqrt(m)
     primes, i = _PRIMES, 0
     while primes:
         for p in primes:
@@ -106,7 +105,7 @@ def _trial_divide(m: int, found: dict[int, int], bound: int = TRIAL_LIMIT, root:
                     m //= p
                     e += 1
                 found[p] = e
-                lim = min(_iroot(m, root), bound)
+                lim = math.isqrt(m)
         i += len(primes)
         primes = _primes_from(i)
     return m

@@ -30,7 +30,6 @@ from .ecq import (
     CurveRecord,
     WeierstrassModel,
     a_p,
-    conductor,
     conductor_from_support,
     minimal_model,
     quadratic_twist,
@@ -99,19 +98,6 @@ def faltings_delta_v2(e1: WeierstrassModel, e2: WeierstrassModel) -> bool:
     return abs(v2(e1.disc) - v2(e2.disc)) <= 18
 
 
-def _v2_moddeg(curve: CurveRecord, assume_manin: bool) -> tuple[int, list[str]]:
-    if curve.moddeg is None:
-        raise MissingInvariant("modular degree unknown for this curve")
-    assumptions = []
-    manin = curve.manin
-    if manin is None:
-        if not assume_manin:
-            raise MissingInvariant("Manin constant unknown; pass assume_manin to take c = 1")
-        manin = 1
-        assumptions.append("manin_assumed_1")
-    return v2(curve.moddeg) - 2 * v2(manin), assumptions
-
-
 class ThresholdReport(NamedTuple):
     label: str | None
     threshold: int
@@ -126,8 +112,18 @@ def kappa(t: int) -> int:
 
 
 def watkins_threshold(curve: CurveRecord, *, assume_manin: bool = False) -> ThresholdReport:
-    """t = 6 + 5*omega(N) - v2(m/c^2), and the density exponent max(t-2, 0)."""
-    v2m, assumptions = _v2_moddeg(curve, assume_manin)
+    """t = 6 + 5*omega(N) - v2(m/c^2), and the density exponent max(t-2, 0).
+
+    The one place t is computed: verify_twist reads it, and v2(m/c^2), from here.
+    """
+    if curve.moddeg is None:
+        raise MissingInvariant("modular degree unknown for this curve")
+    manin, assumptions = curve.manin, ()
+    if manin is None:
+        if not assume_manin:
+            raise MissingInvariant("Manin constant unknown; pass assume_manin to take c = 1")
+        manin, assumptions = 1, ("manin_assumed_1",)
+    v2m = v2(curve.moddeg) - 2 * v2(manin)
     t = 6 + 5 * curve.conductor.omega - v2m
     return ThresholdReport(
         label=curve.label,
@@ -135,7 +131,7 @@ def watkins_threshold(curve: CurveRecord, *, assume_manin: bool = False) -> Thre
         kappa=kappa(t),
         omega_n=curve.conductor.omega,
         v2_moddeg=v2m,
-        assumptions=tuple(assumptions),
+        assumptions=assumptions,
     )
 
 
@@ -160,20 +156,33 @@ def minimal_twist_candidates(n_fact: Factorization) -> tuple[int, ...]:
     return tuple(sorted(out, key=lambda d: (abs(d), d < 0)))
 
 
+def _twist_minimal_model(curve: CurveRecord, d: int, d_primes=()) -> tuple[set[int], WeierstrassModel]:
+    """A prime set holding every bad prime of the twist by d, and its minimal model over it.
+
+    The twist's discriminant is d^6 * Delta_min(E), times 6^12 unless E
+    is short.  N's primes are in the set, so d_primes may leave out those
+    of d that divide 2N, and a record whose N lies still meets the N | N_D gate.
+    """
+    support = {2, 3, *d_primes, *curve.min_disc.primes(), *curve.conductor.primes()}
+    return support, minimal_model(quadratic_twist(curve.minimal_model, d), support).model
+
+
 @lru_cache(maxsize=32)
 def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
     """Whether no candidate twist has a strictly smaller conductor.
 
     Returns (flag, witness): witness is the discriminant achieving the
-    smallest twisted conductor when one beats the curve itself.  The
-    answer is memoized per record, keyed on every field, so single
-    twists of one curve pay for the candidate conductors once.
+    smallest twisted conductor when one beats the curve itself.  Every
+    candidate is supported on 2N, so nothing is factored.  The answer
+    is memoized per record, keyed on every field, so single twists of
+    one curve pay for the candidate conductors once.
     """
     n = curve.conductor.value
     best = None
     witness = None
     for d in minimal_twist_candidates(curve.conductor):
-        cond = conductor(quadratic_twist(curve.minimal_model, d)).value
+        support, twist_min = _twist_minimal_model(curve, d)
+        cond = conductor_from_support(twist_min, support, proven=True).value
         key = (cond, abs(d), 0 if d > 0 else 1)
         if cond < n and (best is None or key < best):
             best = key
@@ -255,11 +264,10 @@ def verify_twist(
         minimal, witness = is_minimal_twist(curve)
         if not minimal:
             raise NotMinimalTwist(f"the twist by {witness} has a smaller conductor")
-        v2m, assumptions = _v2_moddeg(curve, assume_manin)
+        threshold = watkins_threshold(curve, assume_manin=assume_manin)
+        v2m, assumptions = threshold.v2_moddeg, list(threshold.assumptions)
 
-        # the twist model's discriminant is d^6 * Delta_min(E), times 6^12 unless E is short
-        support = {2, 3, *d_fact.primes(), *curve.min_disc.primes()}
-        twist_min = minimal_model(quadratic_twist(curve.minimal_model, d), support).model
+        support, twist_min = _twist_minimal_model(curve, d, d_fact.primes())
         twist_cond = conductor_from_support(
             twist_min, support, proven=d_fact.proven and curve.min_disc.proven
         )
@@ -278,9 +286,8 @@ def verify_twist(
             d_fact.omega, v2m, curve.conductor.omega, curve.two_torsion_rank
         )
         upper_exact, upper_coarse = twist_rank_upper(twist_cond, d_fact, curve.conductor)
-        t = 6 + 5 * curve.conductor.omega - v2m
 
-        certified = upper_exact <= lower_exact or d_fact.omega >= t
+        certified = upper_exact <= lower_exact or d_fact.omega >= threshold.threshold
         return TwistCertificate(
             curve=name,
             d=d,
@@ -291,7 +298,7 @@ def verify_twist(
             lower_bound_torsion=lower_torsion,
             rank_upper_exact=upper_exact,
             rank_upper_coarse=upper_coarse,
-            threshold=t,
+            threshold=threshold.threshold,
             assumptions=tuple(assumptions),
         )
     except WatkinsError as err:

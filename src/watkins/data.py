@@ -87,8 +87,12 @@ def row_to_line(row: CurveDataRow) -> str:
     return json.dumps({"row": obj, "sha256": digest}, separators=(",", ":"))
 
 
-def row_from_line(line: str | bytes, *, offset: int | None = None) -> CurveDataRow:
-    """The row of one cache or fixture line; CorruptCache, at offset, if it fails a check."""
+def row_from_line(line: str | bytes, *, offset: int | None = None, label: str | None = None) -> CurveDataRow | None:
+    """The row of one cache or fixture line; CorruptCache, at offset, if it fails a check.
+
+    With label given, a line that passes its checksum but not the field
+    check is skipped, and None returned, unless it names that label.
+    """
     try:
         wrapper = json.loads(line)
         obj = wrapper["row"]
@@ -100,19 +104,22 @@ def row_from_line(line: str | bytes, *, offset: int | None = None) -> CurveDataR
     try:
         return row_from_obj(obj)
     except SchemaMismatch as err:
+        if label is not None and not (isinstance(obj, dict) and obj.get("label") == label):
+            return None
         raise CorruptCache(f"cache {err}", offset=offset) from err
 
 
-def _read_rows(fh) -> Iterator[CurveDataRow]:
+def _read_rows(fh, label: str | None = None) -> Iterator[CurveDataRow]:
     """The checked rows of a binary JSONL file; a bad line's CorruptCache names the file, line and byte offset."""
     offset = 0
     for lineno, raw in enumerate(fh, 1):
         if raw.strip():
             try:
-                row = row_from_line(raw, offset=offset)
+                row = row_from_line(raw, offset=offset, label=label)
             except CorruptCache as err:
                 raise CorruptCache(f"{fh.name} line {lineno} (byte {offset}): {err}", offset=offset) from err
-            yield row
+            if row is not None:
+                yield row
         offset += len(raw)
 
 
@@ -125,14 +132,15 @@ class CurveCache:
         self.directory = Path(directory)
         self.path = self.directory / "curves.jsonl"
 
-    def iter_rows(self) -> Iterator[CurveDataRow]:
+    def iter_rows(self, label: str | None = None) -> Iterator[CurveDataRow]:
+        """Every row; with label given, rows of other labels that fail the field check are skipped."""
         if self.path.exists():
             with open(self.path, "rb") as fh:
-                yield from _read_rows(fh)
+                yield from _read_rows(fh, label)
 
     def get(self, label: str) -> CurveDataRow | None:
         found = None
-        for row in self.iter_rows():
+        for row in self.iter_rows(label):
             if row.label == label:
                 found = row
         return found

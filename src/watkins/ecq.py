@@ -5,6 +5,9 @@ global minimal models (Laska-Kraus-Connell), Kodaira types and
 conductor exponents (Tate's algorithm, full version at p = 2, 3 and
 the valuation table at p >= 5), quadratic twisting, rational
 2-torsion, and trace-of-Frobenius computation with explicit budgets.
+Minimal models and conductors come from a known prime set: a curve
+record's, or from scratch the primes of gcd(c4, c6), which hold the
+scaling unit's, and then those of the minimal discriminant.
 """
 
 from __future__ import annotations
@@ -13,16 +16,7 @@ import random
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import (
-    TRIAL_LIMIT,
-    Factorization,
-    _factor_large,
-    _iroot,
-    _is_prime,
-    _trial_divide,
-    factorize,
-    vp,
-)
+from .arith import Factorization, _is_prime, factorize, vp
 from .errors import (
     BadReduction,
     BudgetExceeded,
@@ -176,33 +170,6 @@ def _scaling_exponent(c4: int, c6: int, disc1728: int, p: int) -> int:
     return emax
 
 
-def _unit_prime_candidates(c4: int, c6: int) -> list[int]:
-    """Primes that could divide the scaling unit, ascending.
-
-    A prime p can scale (c4, c6) down only if p^4 | c4 and p^6 | c6,
-    so p^4 divides their gcd and p is at most the root bound.
-    """
-    if c4 == 0:
-        bound = _iroot(abs(c6), 6)
-    elif c6 == 0:
-        bound = _iroot(abs(c4), 4)
-    else:
-        bound = min(_iroot(abs(c4), 4), _iroot(abs(c6), 6))
-    g = gcd(abs(c4), abs(c6))
-    if g <= 1 or bound < 2:
-        return []
-    found: dict[int, int] = {}
-    rem = _trial_divide(g, found, bound, root=4)
-    out = [p for p, e in found.items() if e >= 4]
-    if rem >= TRIAL_LIMIT**4 and bound >= TRIAL_LIMIT:
-        # every prime left in rem is beyond the trial wall, and the
-        # fourth power of one may still divide g; a budgeted split decides
-        large: dict[int, int] = {}
-        _factor_large(rem, large)
-        out.extend(sorted(p for p, e in large.items() if e >= 4 and p <= bound))
-    return out
-
-
 def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
     """Reduced integral model with the given invariants.
 
@@ -245,9 +212,10 @@ class MinimalModelResult(NamedTuple):
 def minimal_model(m: WeierstrassModel, support=None) -> MinimalModelResult:
     """Global minimal model in reduced form, with the transform back.
 
-    support, when given, is a prime set holding every prime of the
-    scaling unit (every prime of m.disc will do), and the unit is
-    sought among them instead of by trial division.
+    support is a prime set holding every prime of the scaling unit, and
+    the unit is sought among them.  c4 = u^4 * c4' and c6 = u^6 * c6', so
+    the primes of gcd(c4, c6) will do, and they are the default; so will
+    2, 3 and the primes of m.disc, since c4^3 - c6^2 = 1728 * m.disc.
     transform_model(m, u, r, s, t) == model holds on the result; it is
     checked here in integer arithmetic, and InvariantViolation reports
     a failure.
@@ -255,8 +223,9 @@ def minimal_model(m: WeierstrassModel, support=None) -> MinimalModelResult:
     c4, c6 = m.c4, m.c6
     disc1728 = 1728 * m.disc
     u = 1
-    cands = _unit_prime_candidates(c4, c6) if support is None else sorted(support)
-    for p in [q for q in cands if q != 2] + [2] * (2 in cands):
+    if support is None:
+        support = factorize(gcd(c4, c6)).primes()
+    for p in sorted(support, key=lambda q: (q == 2, q)):
         e = _scaling_exponent(c4, c6, disc1728, p)
         if e:
             c4 //= p ** (4 * e)
@@ -480,14 +449,23 @@ def conductor_from_support(mm: WeierstrassModel, support, *, proven: bool) -> Fa
     return Factorization(value=prod(p**f for p, f in fs), sign=1, factors=fs, proven=proven)
 
 
+def _minimal_disc_conductor(m: WeierstrassModel) -> tuple[WeierstrassModel, Factorization, Factorization]:
+    """The minimal model, its factored discriminant and the conductor, from scratch.
+
+    The unit comes out of gcd(c4, c6) first, so the one discriminant
+    factored is the minimal one, not u^12 times it.
+    """
+    mm = minimal_model(m).model
+    df = factorize(mm.disc)
+    return mm, df, conductor_from_support(mm, df.primes(), proven=df.proven)
+
+
 def conductor(m: WeierstrassModel) -> Factorization:
     """Conductor of the curve, computed from scratch.
 
     The proven flag is inherited from the discriminant factorization.
     """
-    mm = minimal_model(m).model
-    df = factorize(mm.disc)
-    return conductor_from_support(mm, df.primes(), proven=df.proven)
+    return _minimal_disc_conductor(m)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +766,11 @@ def build_curve_record(
     ints = tuple(int(v) for v in ainvs)
     if ints != ainvs:
         raise ValueError(f"the a-invariants must be integers, got {ainvs!r}")
-    mm = minimal_model(WeierstrassModel(*ints)).model
-    min_disc = factorize(mm.disc)
+    mm, min_disc, cond = _minimal_disc_conductor(WeierstrassModel(*ints))
     return CurveRecord(
         minimal_model=mm,
         min_disc=min_disc,
-        conductor=conductor_from_support(mm, min_disc.primes(), proven=min_disc.proven),
+        conductor=cond,
         two_torsion_rank=two_torsion_rank(mm),
         moddeg=moddeg,
         manin=manin,

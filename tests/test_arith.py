@@ -21,7 +21,7 @@ from watkins.arith import (
     v2,
     vp,
 )
-from watkins.ecq import _unit_prime_candidates
+from watkins.ecq import WeierstrassModel, minimal_model
 from watkins.errors import BudgetExceeded, FactoringBudgetExceeded, ZeroInput
 
 M89 = 2**89 - 1  # prime, but above the deterministic Miller-Rabin bound
@@ -464,9 +464,9 @@ def test_cold_table_agrees_with_full_table(parts, huge, x, y, sign):
             factorize(sign * n),
             is_fundamental_discriminant(sign * n),
             is_fundamental_discriminant(sign * 4 * n),
-            _unit_prime_candidates(n * x, n * y),
-            _unit_prime_candidates(n**4 * x, n**6 * y),
-            _unit_prime_candidates(0, n**6 * y),
+            # short models scaled by u = n, whose discriminants are -16 n^12 times 4x^3 or 27y^2
+            minimal_model(WeierstrassModel(0, 0, 0, n**4 * x, 0)),
+            minimal_model(WeierstrassModel(0, 0, 0, 0, n**6 * y)),
         )
 
     with pytest.MonkeyPatch.context() as mp:

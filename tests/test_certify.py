@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import watkins.certify as certify
-from watkins import ecq
+from watkins import arith, ecq
 from watkins.arith import TRIAL_LIMIT, enumerate_fundamental_discriminants, factorize, is_fundamental_discriminant
 from watkins.certify import (
     CERT_FIELDS,
@@ -210,6 +210,28 @@ def test_is_minimal_twist(records):
     assert is_minimal_twist(rec) == (False, 5)
 
 
+def test_minimality_check_factors_nothing_and_matches_full_conductors(records, monkeypatch):
+    # the reference: each candidate twist's conductor from scratch, smallest (N_D, |d|, sign) wins
+    curves = dict(records)
+    for d in (5, -4, 8):
+        curves[f"17a1^{d}"] = build_curve_record(quadratic_twist(records["17a1"].minimal_model, d).ainvs())
+    want = {}
+    for label, rec in curves.items():
+        keyed = [((conductor(quadratic_twist(rec.minimal_model, d)).value, abs(d), d < 0), d)
+                 for d in minimal_twist_candidates(rec.conductor)]
+        (cond, _, _), d = min(keyed)
+        want[label] = (True, None) if cond >= rec.conductor.value else (False, d)
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) in the minimality check")
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(ecq, "factorize", refuse)
+    certify.is_minimal_twist.cache_clear()
+    assert {label: is_minimal_twist(rec) for label, rec in curves.items()} == want
+    assert [want[f"17a1^{d}"] for d in (5, -4, 8)] == [(False, 5), (False, -4), (False, 8)]
+
+
 def test_context_caches_traces(records, monkeypatch):
     calls = []
     real = certify.a_p
@@ -322,14 +344,14 @@ def test_verify_assume_manin_holds_with_a_shared_context(records):
 
 
 def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypatch):
-    calls = []
-    real = certify.conductor
+    calls = []  # every candidate twist whose conductor is computed
+    real = certify.minimal_twist_candidates
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def counting(n_fact):
+        calls.extend(real(n_fact))
+        return real(n_fact)
 
-    monkeypatch.setattr(certify, "conductor", counting)
+    monkeypatch.setattr(certify, "minimal_twist_candidates", counting)
     rec = records["17a1"]._replace(label="17a1-counted")
     certify.is_minimal_twist.cache_clear()
     n_candidates = len(minimal_twist_candidates(rec.conductor))

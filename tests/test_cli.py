@@ -206,7 +206,7 @@ def test_density_rejects_negative_input(capsys, x, a):
 def test_conductor_command_reuses_the_record(capsys, monkeypatch):
     calls = []
     real = ecq.minimal_model
-    monkeypatch.setattr(ecq, "minimal_model", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(ecq, "minimal_model", lambda m, support=None: calls.append(m) or real(m, support))
     code, out, _ = run(capsys, "conductor", "--curve", "0,-1,0,-4,4")
     assert code == 0 and len(calls) == 1  # the record's, none for the local data
     assert json.loads(out)["local"] == [
@@ -249,6 +249,22 @@ def test_corrupt_cache_line_is_named_by_file_and_line(capsys, tmp_path):
     code, out, err = run(capsys, "fetch", "--label", "389a9", "--offline")
     assert code == 2 and out == ""
     assert err == f"error: {cache} line 2 (byte {len(first)}): cache line failed its checksum\n"
+
+
+@pytest.mark.parametrize("asked", ["389a9", "11a9"])
+def test_bad_cache_row_blocks_only_its_own_label(capsys, tmp_path, asked):
+    # a good 389a9 line, then a checksummed 11a9 line whose ainvs are no list
+    cache = tmp_path / "cache" / "curves.jsonl"
+    cache.parent.mkdir()
+    first = checksummed_line({**ROW_389, "label": "389a9"}) + "\n"
+    cache.write_text(first + checksummed_line({**ROW_389, "label": "11a9", "ainvs": 5}) + "\n")
+    code, out, err = run(capsys, "fetch", "--label", asked, "--offline")
+    if asked == "389a9":
+        assert (code, err) == (0, "") and json.loads(out)["label"] == "389a9"
+    else:
+        assert code == 2 and out == ""
+        assert err == (f"error: {cache} line 2 (byte {len(first)}): "
+                       "cache row field ainvs should be five integers, got 5\n")
 
 
 def test_fetch_command(capsys):

@@ -196,6 +196,24 @@ def test_cache_put_get_last_wins(tmp_path):
     assert cache.get("nope") is None
 
 
+def test_cache_get_skips_bad_rows_of_other_labels_only(tmp_path):
+    cache = CurveCache(tmp_path)
+    cache.put(ROW_389)
+    with open(cache.path, "a", encoding="utf-8") as fh:
+        fh.write(checksummed_line({**ROW_389._asdict(), "label": "11a9", "ainvs": 5}) + "\n")
+        fh.write(checksummed_line({**ROW_389._asdict(), "label": 7}) + "\n")  # no label to trust
+    assert cache.get("389a1") == ROW_389
+    assert cache.get("nope") is None
+    for read in (lambda: cache.get("11a9"), lambda: list(cache.iter_rows())):
+        with pytest.raises(CorruptCache, match="line 2 .* field ainvs"):
+            read()
+    # a line that fails its checksum carries no label to trust, so it blocks every lookup
+    with open(cache.path, "a", encoding="utf-8") as fh:
+        fh.write(checksummed_line({**ROW_389._asdict(), "label": "11a8"}).replace("389", "388") + "\n")
+    with pytest.raises(CorruptCache, match="line 4 .* checksum"):
+        cache.get("389a1")
+
+
 def test_cache_honours_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("WATKINS_CACHE_DIR", str(tmp_path / "elsewhere"))
     cache = CurveCache()

@@ -1,11 +1,12 @@
 """Weierstrass models, reduction, conductors, and point counts."""
 
 import random
+import time
 from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from watkins import arith, ecq
@@ -164,11 +165,36 @@ def test_minimal_model_idempotent_on_catalog(records):
     st.integers(min_value=-8, max_value=8),
 )
 @settings(max_examples=60, deadline=None)
+# units with primes past the trial-division wall, a perfect power of one, and 2, 3 beside them
+@example("17a1", 1000003, 0, 0, 0)
+@example("49a1", 1000003 * 1000033, 1, -1, 2)
+@example("15a1", 10**12 + 39, 0, 0, 0)
+@example("17a1", 6 * (10**12 + 39), -3, 1, 0)
+@example("15a1", 2**5 * 3**3 * 1000003, 2, 0, -1)
+@example("49a1", 2**5 * 3**3 * 1000003, 0, 0, 0)
 def test_minimal_model_undoes_transforms(records, label, k, r, s, t):
-    m = records[label].minimal_model
+    rec = records[label]
+    m = rec.minimal_model
     blown = transform_model(m, Fraction(1, k), r, s, t)
     assert blown.disc == m.disc * k**12
     assert minimal_model(blown).model == m
+    got = build_curve_record(blown.ainvs())
+    assert (got.minimal_model, got.min_disc, got.conductor) == (m, rec.min_disc, rec.conductor)
+
+
+@pytest.mark.parametrize("k", [10**12 + 39, 1000003 * 1000033])
+def test_a_large_unit_beside_a_large_minimal_discriminant_prime(k):
+    # Delta_min = -2^4 * 2700002700000679 and k both hold primes past the trial-division wall;
+    # the unit comes out of gcd(c4, c6), so rho never has to split u^12 * Delta_min
+    m = WeierstrassModel(0, 0, 0, 1, 10000005)
+    want = build_curve_record(m.ainvs())
+    assert want.min_disc.factors == ((2, 4), (2700002700000679, 1))
+    blown = transform_model(m, Fraction(1, k), 0, 0, 0)
+    start = time.perf_counter()
+    assert build_curve_record(blown.ainvs()) == want
+    assert conductor(blown) == want.conductor
+    assert minimal_model(blown) == (m, k, 0, 0, 0)
+    assert time.perf_counter() - start < 2.0  # milliseconds when the unit is taken out first
 
 
 # fundamental discriminants coprime to 1000003 and 1000033, both above TRIAL_LIMIT
@@ -184,9 +210,10 @@ LARGE_PRIME_PARTS = (1, -1000003, 1000033)  # p* = +-p, 1 (mod 4)
     st.sampled_from(LARGE_PRIME_PARTS),
 )
 @settings(max_examples=150, deadline=None)
-def test_minimal_model_over_a_support_matches_trial_division(a, b, s, d0, large):
-    # y^2 = x(x^2 + s a x + s^2 b) twisted by d, with the prime set verify_twist passes;
-    # the scaling unit holds 2 and 3, and s too when s divides d
+def test_minimal_model_over_the_twist_support_matches_the_gcd_primes(a, b, s, d0, large):
+    # y^2 = x(x^2 + s a x + s^2 b) twisted by d, with the prime set verify_twist passes against
+    # the default, the primes of gcd(c4, c6); the scaling unit holds 2 and 3, and s too when
+    # s divides d
     if a * a == 4 * b:
         return
     d = d0 * large
@@ -194,7 +221,37 @@ def test_minimal_model_over_a_support_matches_trial_division(a, b, s, d0, large)
     base = minimal_model(WeierstrassModel(0, s * a, 0, s * s * b, 0)).model
     twisted = quadratic_twist(base, d)
     support = {2, 3, *arith.factorize(d).primes(), *arith.factorize(base.disc).primes()}
-    assert minimal_model(twisted, support) == minimal_model(twisted)
+    res = minimal_model(twisted, support)
+    assert res == minimal_model(twisted)
+    assert transform_model(twisted, res.u, res.r, res.s, res.t) == res.model
+    for p in arith.factorize(res.model.disc).primes():
+        assert _p_minimal_reference(res.model, p), p
+
+
+def _p_minimal_reference(m, p):
+    # no integral model at x = p^2 x' + r, y = p^3 y' + s p^2 x' + t: it suffices to try r mod p^2,
+    # s mod p and t mod p^3; one would have disc / p^12 as its discriminant, and at p >= 5
+    # one exists exactly when p^4 | c4 and p^6 | c6
+    if m.disc % p**12:
+        return True
+    if p >= 5:
+        return m.c4 % p**4 != 0 or m.c6 % p**6 != 0
+    for r in range(p * p):
+        for s in range(p):
+            for t in range(p**3):
+                try:
+                    transform_model(m, p, r, s, t)
+                    return False
+                except ValueError:
+                    pass
+    return True
+
+
+def test_p_minimal_reference_sees_a_scaled_model():
+    for m, p in ((WeierstrassModel(0, 0, 0, -16, 0), 2), (WeierstrassModel(0, 0, 0, -81, 0), 3),
+                 (WeierstrassModel(0, 0, 0, -625, 0), 5)):
+        assert not _p_minimal_reference(m, p)
+        assert _p_minimal_reference(minimal_model(m).model, p)
 
 
 @given(
@@ -568,7 +625,7 @@ def test_build_curve_record_conductor_matches_conductor(fixture_rows, monkeypatc
     # one minimal model and one factorization of its discriminant per record
     models, factored = [], []
     minimal_model_, factorize_ = ecq.minimal_model, ecq.factorize
-    monkeypatch.setattr(ecq, "minimal_model", lambda m: models.append(m) or minimal_model_(m))
+    monkeypatch.setattr(ecq, "minimal_model", lambda m, support=None: models.append(m) or minimal_model_(m, support))
     monkeypatch.setattr(ecq, "factorize", lambda n, **kw: factored.append(n) or factorize_(n, **kw))
     for label, row in fixture_rows.items():
         models.clear()

@@ -89,3 +89,37 @@ def test_the_cold_import_rule_skips_function_bodies_only():
         "    def g(self):\n        import fractions\n"
     )
     assert list(_load_time_imports(tree)) == [1, 2, 3, 10, 12]
+
+
+# the only private names a module may import from a sibling: (importer, sibling, name)
+_SIBLING_PRIVATE_IMPORTS = {("ecq", "arith", "_is_prime"), ("cli", "certify", "_enc_fact")}
+
+
+def _private_sibling_imports(module: str, tree: ast.AST):
+    # from .sibling import _name, or from watkins.sibling import _name, anywhere in the module
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        if node.level == 1 or node.module.startswith("watkins."):
+            sibling = node.module.removeprefix("watkins.")
+            for alias in node.names:
+                if alias.name.startswith("_") and (module, sibling, alias.name) not in _SIBLING_PRIVATE_IMPORTS:
+                    yield f"{module}:{node.lineno} {sibling}.{alias.name}"
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # a private helper another module leans on is an interface nobody named
+    found = [hit for path in SOURCES for hit in _private_sibling_imports(path.stem, ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_private_import_rule_sees_every_form():
+    tree = ast.parse(
+        "from .arith import _is_prime, _trial_divide\nfrom .certify import _enc_fact\n"
+        "from os import _exit\nfrom . import arith\nfrom __future__ import annotations\n"
+        "def f():\n    from watkins.arith import _iroot, vp\n"
+    )
+    assert list(_private_sibling_imports("ecq", tree)) == [
+        "ecq:1 arith._trial_divide", "ecq:2 certify._enc_fact", "ecq:7 arith._iroot"
+    ]
+    assert list(_private_sibling_imports("cli", ast.parse("from .certify import _enc_fact\n"))) == []
