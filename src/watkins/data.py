@@ -21,6 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, NamedTuple
+from urllib.parse import urlencode  # pathlib loads it already
 
 from .ecq import CurveRecord, build_curve_record
 from .errors import CorruptCache, NetworkError, NotFound, SchemaMismatch, ValidationError
@@ -49,7 +50,8 @@ def row_from_obj(obj) -> CurveDataRow:
     """The row a dict in the on-disk schema holds, every field type-checked.
 
     Every field of CurveDataRow must be present; SchemaMismatch names
-    the first one that is missing or of the wrong type, or a negative rank.
+    the first one that is missing or of the wrong type, a modular degree
+    or Manin constant below 1, or a negative rank.
     """
     if not isinstance(obj, dict):
         raise SchemaMismatch(f"expected a JSON object per curve, got {type(obj).__name__}")
@@ -62,8 +64,8 @@ def row_from_obj(obj) -> CurveDataRow:
         (isinstance(label, str) and label, "label", "a non-empty string"),
         (_ints(ainvs) and len(ainvs) == 5, "ainvs", "five integers"),
         (type(conductor) is int, "conductor", "an integer"),
-        (moddeg is None or type(moddeg) is int, "moddeg", "an integer or null"),
-        (manin is None or type(manin) is int, "manin", "an integer or null"),
+        (moddeg is None or (type(moddeg) is int and moddeg > 0), "moddeg", "a positive integer or null"),
+        (manin is None or (type(manin) is int and manin > 0), "manin", "a positive integer or null"),
         (rank is None or (type(rank) is int and rank >= 0), "rank", "a non-negative integer or null"),
         (torsion is None or _ints(torsion), "torsion_structure", "a list of integers or null"),
         (isinstance(source, str), "source", "a string"),
@@ -168,7 +170,7 @@ _BASE_URL = "https://www.lmfdb.org/api/ec_curvedata/"
 _LABEL_KEYS = ("label", "Clabel", "lmfdb_label")
 
 
-def _row_from_remote(obj: dict, source: str) -> CurveDataRow:
+def _row_from_remote(obj: dict) -> CurveDataRow:
     if not isinstance(obj, dict):
         raise SchemaMismatch(f"expected a JSON object per curve, got {type(obj).__name__}")
     ainvs = obj.get("ainvs")
@@ -186,52 +188,35 @@ def _row_from_remote(obj: dict, source: str) -> CurveDataRow:
             "manin": obj.get("manin_constant"),
             "rank": obj.get("rank"),
             "torsion_structure": obj.get("torsion_structure"),
-            "source": source,
+            "source": "lmfdb",
             "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
     )
 
 
-class LmfdbClient:
-    """Thin client for the curve table; transport is injectable."""
+def fetch_remote(label: str) -> CurveDataRow:
+    """The remote table's row for label, from one query with a 30 s timeout."""
+    # imported here, so that a verify that never leaves the cache does not load http or ssl
+    from urllib.request import Request, urlopen
 
-    def __init__(self, transport=None, *, base_url: str = _BASE_URL, delay: float = 0.5):
-        if transport is None:
-            import requests
-
-            transport = requests
-        self.transport = transport
-        self.base_url = base_url
-        self.delay = delay
-        self._last_call = 0.0
-
-    def _get(self, params: dict) -> list[dict]:
-        wait = self._last_call + self.delay - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        try:
-            resp = self.transport.get(self.base_url, params=params, timeout=30)
-        except Exception as err:  # transport-specific failures all count
-            raise NetworkError(f"remote query failed: {err}") from err
-        finally:
-            self._last_call = time.monotonic()
-        if getattr(resp, "status_code", 0) != 200:
-            raise NetworkError(f"remote query returned status {resp.status_code}")
-        try:
-            payload = resp.json()
-        except Exception as err:
-            raise SchemaMismatch("remote response is not JSON") from err
-        data = payload.get("data") if isinstance(payload, dict) else None
-        if not isinstance(data, list):
-            raise SchemaMismatch("remote response has no data list")
-        return data
-
-    def by_label(self, label: str) -> CurveDataRow:
-        key = "lmfdb_label" if "." in label else "Clabel"
-        data = self._get({key: label, "_format": "json"})
-        if not data:
-            raise NotFound(f"no remote row for label {label}")
-        return _row_from_remote(data[0], source="lmfdb")
+    key = "lmfdb_label" if "." in label else "Clabel"
+    url = _BASE_URL + "?" + urlencode({key: label, "_format": "json"})
+    try:
+        # urllib's default agent is one that some hosts' bot filters refuse
+        with urlopen(Request(url, headers={"User-Agent": "watkins"}), timeout=30) as resp:
+            body = resp.read()
+    except Exception as err:  # OSError (URLError, HTTPError, timeouts) and http.client.HTTPException alike
+        raise NetworkError(f"remote query failed: {err}") from err
+    try:
+        payload = json.loads(body)
+    except ValueError as err:  # bad JSON and bad UTF-8 alike
+        raise SchemaMismatch("remote response is not JSON") from err
+    data = payload.get("data") if isinstance(payload, dict) else None
+    if not isinstance(data, list):
+        raise SchemaMismatch("remote response has no data list")
+    if not data:
+        raise NotFound(f"no remote row for label {label}")
+    return _row_from_remote(data[0])
 
 
 def fetch_curve(
@@ -239,13 +224,12 @@ def fetch_curve(
     *,
     offline: bool = False,
     cache: CurveCache | None = None,
-    client: LmfdbClient | None = None,
     fixtures: dict[str, CurveDataRow] | None = None,
 ) -> CurveDataRow:
     """Resolve a label: fixtures, then cache, then remote.
 
-    offline=True never constructs or touches a transport; a miss is
-    NotFound.  Remote hits are written back to the cache.
+    offline=True never touches the network; a miss is NotFound.  Remote
+    hits are written back to the cache.
     """
     if fixtures is None:
         fixtures = load_fixtures()
@@ -258,9 +242,7 @@ def fetch_curve(
         return hit
     if offline:
         raise NotFound(f"{label} not available offline")
-    if client is None:
-        client = LmfdbClient()
-    row = client.by_label(label)
+    row = fetch_remote(label)
     cache.put(row)
     return row
 
@@ -296,8 +278,6 @@ def validate_row(row: CurveDataRow, record: CurveRecord) -> list[Discrepancy]:
 
 def record_from_row(row: CurveDataRow) -> CurveRecord:
     """Build a verified CurveRecord; lies about the conductor are fatal."""
-    if row.manin is not None and row.manin < 1:
-        raise ValidationError(f"{row.label}: Manin constant {row.manin} is not positive")
     record = build_curve_record(row.ainvs, moddeg=row.moddeg, manin=row.manin, label=row.label)
     if record.conductor.value != row.conductor:
         raise ValidationError(

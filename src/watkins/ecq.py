@@ -256,10 +256,6 @@ class LocalReduction(NamedTuple):
     kind: str  # "good" | "multiplicative" | "additive"
 
 
-def _p_minimal(m: WeierstrassModel, p: int) -> bool:
-    return _scaling_exponent(m.c4, m.c6, 1728 * m.disc, p) == 0
-
-
 def _singular_point(m: WeierstrassModel, p: int) -> tuple[int, int]:
     # the singular point of the reduction is F_p-rational; p is 2 or 3
     a1, a2, a3, a4, a6 = (a % p for a in m.ainvs())
@@ -407,12 +403,10 @@ def _tate_table(m: WeierstrassModel, p: int, n: int) -> LocalReduction:
 
 
 def tate_local(m: WeierstrassModel, p: int) -> LocalReduction:
-    """Kodaira type and conductor exponent at p of a p-minimal model."""
+    """Kodaira type and conductor exponent at p of a p-minimal model; NotMinimal if it is not."""
     n = vp(m.disc, p)
     if n == 0:
         return LocalReduction(p, "I0", 0, "good")
-    if not _p_minimal(m, p):
-        raise NotMinimal(f"model is not minimal at {p}")
     red = _tate_table(m, p, n) if p >= 5 else _tate_small(m, p, n)
     cap = 8 if p == 2 else 5 if p == 3 else 2
     if red.f > cap:
@@ -660,10 +654,13 @@ def _exact_order(P, n: int, a: int, p: int) -> int:
     return e
 
 
-def _order_from_points(a: int, b: int, p: int, rng: random.Random, tries: int):
+ORDER_POINTS = 12  # random points per curve before the group order counts as ambiguous
+
+
+def _order_from_points(a: int, b: int, p: int, rng: random.Random):
     lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
     left = None  # the n in the window that kill every point so far
-    for _ in range(tries):
+    for _ in range(ORDER_POINTS):
         ns = _bsgs_annihilators(_random_point(a, b, p, rng), lo, hi, a, p)
         left = set(ns) if left is None else left.intersection(ns)
         if len(left) == 1:
@@ -675,7 +672,7 @@ def _order_from_points(a: int, b: int, p: int, rng: random.Random, tries: int):
 
 def _curve_order(a: int, b: int, p: int) -> int:
     rng = random.Random(f"ec:{p}:{a}:{b}")
-    N = _order_from_points(a, b, p, rng, tries=12)
+    N = _order_from_points(a, b, p, rng)
     if N is not None:
         return N
     # the quadratic twist has complementary order 2p + 2 - N
@@ -684,10 +681,10 @@ def _curve_order(a: int, b: int, p: int) -> int:
         c += 1
     at = a * c * c % p
     bt = b * pow(c, 3, p) % p
-    Nt = _order_from_points(at, bt, p, rng, tries=12)
+    Nt = _order_from_points(at, bt, p, rng)
     if Nt is not None:
         return 2 * p + 2 - Nt
-    raise BudgetExceeded(f"group order mod {p} still ambiguous after twelve points per curve")
+    raise BudgetExceeded(f"group order mod {p} still ambiguous after {ORDER_POINTS} points per curve")
 
 
 AP_NAIVE_LIMIT = 500

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import urllib.request
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,16 @@ import pytest
 
 from watkins import data
 from watkins.data import load_fixtures, record_from_row
+
+
+@pytest.fixture(autouse=True)
+def no_network(monkeypatch):
+    """No test reaches the remote table: urlopen fails unless a test installs its own."""
+
+    def urlopen(request, timeout=None):
+        raise OSError("the test suite does not touch the network")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 """End-to-end command behaviour: exit codes, formats, determinism."""
 
 import csv
+import http.client
 import io
 import json
 import os
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -221,7 +223,7 @@ ROW_389 = {"label": "389a1", "ainvs": [0, 1, 1, -2, 0], "conductor": 389, "modde
 ROW_17 = {"label": "17a1", "ainvs": [1, -1, 1, -1, -14], "conductor": 17, "moddeg": 1, "manin": 1,
           "rank": 0, "torsion_structure": [4], "source": "builtin", "fetched_at": None}
 BAD_FIELDS = [{"ainvs": 5}, {"ainvs": [0, 1, 1, -2]}, {"ainvs": [0, 1, None, -2, 0]},
-              {"conductor": "389"}, {"moddeg": "2"}, {"rank": -1}]
+              {"conductor": "389"}, {"moddeg": "2"}, {"moddeg": 0}, {"manin": 0}, {"rank": -1}]
 
 
 @pytest.mark.parametrize("bad", [{}, *BAD_FIELDS], ids=json.dumps)
@@ -235,7 +237,9 @@ def test_checksummed_row_of_the_wrong_type_exits_two(capsys, request, tmp_path, 
     path.write_text(checksummed_line({**row, **bad}) + "\n")
     code, out, err = run(capsys, "verify", "--label", row["label"], "--offline", "--d", "5")
     if bad:
-        assert code == 2 and out == "" and err.startswith("error:")
+        (field,) = bad
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path} line 1 (byte 0): cache row field {field} should be ")
     else:
         assert (code, json.loads(out)["verdict"]) == good
 
@@ -265,6 +269,16 @@ def test_bad_cache_row_blocks_only_its_own_label(capsys, tmp_path, asked):
         assert code == 2 and out == ""
         assert err == (f"error: {cache} line 2 (byte {len(first)}): "
                        "cache row field ainvs should be five integers, got 5\n")
+
+
+def test_fetch_of_an_unknown_label_on_a_failing_network_exits_two(capsys, monkeypatch):
+    def urlopen(request, timeout=None):
+        raise http.client.IncompleteRead(b"", 10)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    code, out, err = run(capsys, "fetch", "--label", "389a1")
+    assert (code, out) == (2, "")
+    assert err == "error: remote query failed: IncompleteRead(0 bytes read, 10 more expected)\n"
 
 
 def test_fetch_command(capsys):
@@ -459,7 +473,8 @@ import contextlib, io, sys
 from watkins import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "--label", "17a1", "--offline", "--d", "5"])
-print(code, *sorted({"dataclasses", "inspect", "fractions", "decimal", "csv"} & set(sys.modules)))
+off_path = {"dataclasses", "inspect", "fractions", "decimal", "csv", "urllib.request", "http.client", "ssl"}
+print(code, *sorted(off_path & set(sys.modules)))
 """
     assert _fresh_python(code).split() == ["0"]
 

@@ -1,15 +1,20 @@
 """Fixture loading, cache integrity, remote parsing, and validation."""
 
+import http.client
+import io
 import json
-import time
+import socket
+import urllib.error
+import urllib.request
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
 from watkins.data import (
     CurveCache,
     CurveDataRow,
-    LmfdbClient,
     fetch_curve,
+    fetch_remote,
     load_fixtures,
     record_from_row,
     row_from_line,
@@ -39,31 +44,39 @@ ROW_389 = CurveDataRow(
 )
 
 
-class FakeResponse:
-    def __init__(self, payload, status=200, bad_json=False):
-        self.status_code = status
-        self._payload = payload
-        self._bad = bad_json
+class FakeOpener:
+    """Stands in for urllib.request.urlopen: a queue of replies, and every request it saw.
 
-    def json(self):
-        if self._bad:
-            raise ValueError("not json")
-        return self._payload
+    A reply is an exception to raise, a response to return, or a body: bytes, or an object sent as JSON.
+    """
 
-
-class FakeTransport:
-    """Queue of canned responses; records every request it serves."""
-
-    def __init__(self, *responses):
-        self.responses = list(responses)
+    def __init__(self, *replies):
+        self.replies = list(replies)
         self.calls = []
 
-    def get(self, url, params=None, timeout=None):
-        self.calls.append((url, dict(params or {}), timeout))
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
+    def __call__(self, request, timeout=None):
+        self.calls.append((request, timeout))
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        if isinstance(reply, io.IOBase):
+            return reply
+        return io.BytesIO(reply if isinstance(reply, bytes) else json.dumps(reply).encode())
+
+
+class CutOffBody(io.BytesIO):
+    """A response whose connection drops while the body is read."""
+
+    def read(self, *args):
+        raise http.client.IncompleteRead(b"{", 10)
+
+
+@pytest.fixture
+def opener(monkeypatch):
+    """Install a FakeOpener; the test fills its replies."""
+    fake = FakeOpener()
+    monkeypatch.setattr(urllib.request, "urlopen", fake)
+    return fake
 
 
 def _remote_payload(**overrides):
@@ -124,7 +137,9 @@ BAD_FIELDS = [
     {"conductor": "389"},
     {"conductor": None},
     {"moddeg": "40"},
+    {"moddeg": 0},
     {"manin": 1.0},
+    {"manin": -1},
     {"rank": -1},
     {"rank": "2"},
     {"torsion_structure": ["2"]},
@@ -239,108 +254,113 @@ def test_fixtures_all_build_records(records, fixture_rows):
 # --- remote parsing ----------------------------------------------------------------
 
 
-def test_by_label_parses_and_maps_fields():
-    transport = FakeTransport(FakeResponse(_remote_payload()))
-    client = LmfdbClient(transport, delay=0)
-    row = client.by_label("389a1")
+def _query(request):
+    parts = urlsplit(request.full_url)
+    return f"{parts.scheme}://{parts.netloc}{parts.path}", dict(parse_qsl(parts.query))
+
+
+def test_by_label_parses_and_maps_fields(opener):
+    opener.replies.append(_remote_payload())
+    row = fetch_remote("389a1")
     assert row.ainvs == (0, 1, 1, -2, 0)
     assert row.moddeg == 40 and row.manin == 1 and row.rank == 2
     assert row.source == "lmfdb" and row.fetched_at
 
-    url, params, timeout = transport.calls[0]
-    assert params == {"Clabel": "389a1", "_format": "json"}
+    ((request, timeout),) = opener.calls
+    assert _query(request) == ("https://www.lmfdb.org/api/ec_curvedata/", {"Clabel": "389a1", "_format": "json"})
     assert timeout == 30
+    assert request.get_header("User-agent") == "watkins"
 
 
-def test_by_label_key_depends_on_label_shape():
-    transport = FakeTransport(FakeResponse(_remote_payload(Clabel="389.a1")))
-    client = LmfdbClient(transport, delay=0)
-    client.by_label("389.a1")
-    assert transport.calls[0][1]["lmfdb_label"] == "389.a1"
+def test_by_label_key_depends_on_label_shape(opener):
+    opener.replies.append(_remote_payload(Clabel="389.a1"))
+    fetch_remote("389.a1")
+    assert _query(opener.calls[0][0])[1] == {"lmfdb_label": "389.a1", "_format": "json"}
 
 
-def test_remote_schema_mismatches():
+def test_remote_schema_mismatches(opener):
     cases = [
         _remote_payload(ainvs="[0,1,1"),  # unparseable string
         _remote_payload(ainvs=[0, 1, 1]),  # wrong arity
         _remote_payload(conductor="389"),  # stringly conductor
         _remote_payload(degree="40"),  # stringly degree
+        _remote_payload(degree=0),
+        _remote_payload(manin_constant=0),
         _remote_payload(torsion_structure=["2"]),
         _remote_payload(Clabel=None),  # no label at all
         _remote_payload(rank=-1),
+        {"data": [[0, 1, 1, -2, 0]]},  # a row that is no object
     ]
-    for payload in cases:
-        client = LmfdbClient(FakeTransport(FakeResponse(payload)), delay=0)
+    opener.replies.extend(cases)
+    for _ in cases:
         with pytest.raises(SchemaMismatch):
-            client.by_label("389a1")
+            fetch_remote("389a1")
 
 
-def test_remote_envelope_failures():
-    for response in (
-        FakeResponse({}, status=503),
-        FakeResponse({}, bad_json=True),
-        FakeResponse({"rows": []}),  # no data list
-        FakeResponse([1, 2, 3]),  # not even an object
+def test_remote_envelope_failures(opener):
+    for body, match in (
+        (b"<html>busy</html>", "not JSON"),
+        (b"\xff\xfe{", "not JSON"),  # not even UTF-8
+        ({"rows": []}, "no data list"),
+        ([1, 2, 3], "no data list"),  # not even an object
+        ({"data": {}}, "no data list"),
     ):
-        client = LmfdbClient(FakeTransport(response), delay=0)
-        with pytest.raises((NetworkError, SchemaMismatch)):
-            client.by_label("389a1")
+        opener.replies.append(body)
+        with pytest.raises(SchemaMismatch, match=match):
+            fetch_remote("389a1")
 
 
-def test_transport_exception_becomes_network_error():
-    client = LmfdbClient(FakeTransport(OSError("connection refused")), delay=0)
-    with pytest.raises(NetworkError):
-        client.by_label("389a1")
+def test_transport_exception_becomes_network_error(opener):
+    opener.replies.append(CutOffBody())
+    with pytest.raises(NetworkError, match="remote query failed: IncompleteRead"):
+        fetch_remote("389a1")
+    for err, match in (
+        (urllib.error.URLError(ConnectionRefusedError(111, "connection refused")), "connection refused"),
+        (urllib.error.HTTPError("u", 503, "Service Unavailable", None, None), "HTTP Error 503"),
+        (socket.timeout("timed out"), "timed out"),
+        (http.client.IncompleteRead(b"{", 10), "IncompleteRead"),  # an HTTPException, not an OSError
+        (http.client.RemoteDisconnected("closed without reply"), "closed without reply"),
+    ):
+        opener.replies.append(err)
+        with pytest.raises(NetworkError, match=f"remote query failed: .*{match}"):
+            fetch_remote("389a1")
 
 
-def test_empty_result_is_not_found():
-    client = LmfdbClient(FakeTransport(FakeResponse({"data": []})), delay=0)
-    with pytest.raises(NotFound):
-        client.by_label("389a1")
-
-
-def test_rate_limit_spacing():
-    transport = FakeTransport(FakeResponse(_remote_payload()), FakeResponse(_remote_payload()))
-    client = LmfdbClient(transport, delay=0.05)
-    start = time.monotonic()
-    client.by_label("389a1")
-    client.by_label("389a1")
-    assert time.monotonic() - start >= 0.05
+def test_empty_result_is_not_found(opener):
+    opener.replies.append({"data": []})
+    with pytest.raises(NotFound, match="no remote row for label 389a1"):
+        fetch_remote("389a1")
 
 
 # --- fetch resolution ----------------------------------------------------------------
 
 
-class ExplodingClient:
-    def by_label(self, label):
-        raise AssertionError("network path must not be taken")
+def test_fetch_prefers_fixtures(tmp_path, opener):
+    row = fetch_curve("17a1", cache=CurveCache(tmp_path))
+    assert row.moddeg == 1 and opener.calls == []
 
 
-def test_fetch_prefers_fixtures(tmp_path):
-    row = fetch_curve("17a1", cache=CurveCache(tmp_path), client=ExplodingClient())
-    assert row.moddeg == 1
-
-
-def test_fetch_falls_back_to_cache(tmp_path):
+def test_fetch_falls_back_to_cache(tmp_path, opener):
     cache = CurveCache(tmp_path)
     cache.put(ROW_389)
-    row = fetch_curve("389a1", cache=cache, client=ExplodingClient())
-    assert row == ROW_389
+    row = fetch_curve("389a1", cache=cache)
+    assert row == ROW_389 and opener.calls == []
 
 
-def test_fetch_offline_miss(tmp_path):
+def test_fetch_offline_miss(tmp_path, opener):
     with pytest.raises(NotFound):
-        fetch_curve("389a1", offline=True, cache=CurveCache(tmp_path), client=ExplodingClient())
+        fetch_curve("389a1", offline=True, cache=CurveCache(tmp_path))
+    assert opener.calls == []
 
 
-def test_fetch_remote_writes_back(tmp_path):
+def test_fetch_remote_writes_back(tmp_path, opener):
     cache = CurveCache(tmp_path)
-    client = LmfdbClient(FakeTransport(FakeResponse(_remote_payload())), delay=0)
-    row = fetch_curve("389a1", cache=cache, client=client)
+    opener.replies.append(_remote_payload())
+    row = fetch_curve("389a1", cache=cache)
     assert row.moddeg == 40
     assert cache.get("389a1") == row  # cached for next time
-    again = fetch_curve("389a1", cache=cache, client=ExplodingClient())
-    assert again == row
+    again = fetch_curve("389a1", cache=cache)
+    assert again == row and len(opener.calls) == 1
 
 
 # --- validation ------------------------------------------------------------------------
@@ -364,7 +384,9 @@ def test_validate_row_spots_non_minimal_input():
 def test_record_from_row_hard_failures():
     with pytest.raises(ValidationError):
         record_from_row(ROW_389._replace(conductor=388))
-    with pytest.raises(ValidationError):
+    # row_from_obj refuses a non-positive Manin constant on every read; a row built
+    # by hand still meets build_curve_record's own check
+    with pytest.raises(ValueError, match="Manin constant is a positive integer"):
         record_from_row(ROW_389._replace(manin=0))
 
 

@@ -1,6 +1,7 @@
 """Rules the package source keeps, checked on its syntax tree."""
 
 import ast
+import sys
 from pathlib import Path
 
 import watkins
@@ -30,7 +31,8 @@ def test_the_rule_sees_both_forms():
     assert list(_assertions(tree)) == [1, 2, 3]
 
 
-def _numpy_imports(tree: ast.AST):
+def _non_stdlib_imports(tree: ast.AST):
+    # every absolute import, function bodies included; relative ones name the package itself
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -38,22 +40,24 @@ def _numpy_imports(tree: ast.AST):
             names = [node.module or ""]
         else:
             continue
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+        if any(name.split(".")[0] not in sys.stdlib_module_names for name in names):
             yield node.lineno
 
 
-def test_no_numpy_in_the_package():
-    # the runtime depends on requests only; the sieves are stdlib bytearrays
-    found = [f"{path.name}:{line}" for path in SOURCES for line in _numpy_imports(ast.parse(path.read_text()))]
+def test_every_import_is_stdlib():
+    # the runtime is the standard library alone: remote lookups go through urllib, the sieves are bytearrays
+    found = [f"{path.name}:{line}" for path in SOURCES for line in _non_stdlib_imports(ast.parse(path.read_text()))]
     assert found == []
 
 
-def test_the_numpy_rule_sees_every_form():
+def test_the_stdlib_rule_sees_every_form():
     tree = ast.parse(
-        "import numpy\nimport numpy as np\nfrom numpy import zeros\nimport numpy.linalg\n"
-        "def f():\n    import os, numpy\nfrom .numpy import x\nimport numpyish\n"
+        "import numpy\nimport os, requests as r\nfrom numpy import zeros\nimport numpy.linalg\n"
+        "def f():\n    import requests\nfrom . import data\nfrom .numpy import x\n"
+        "from urllib.request import urlopen\nimport http.client\nfrom __future__ import annotations\n"
+        "class C:\n    def g(self):\n        from watkins import arith\n"
     )
-    assert list(_numpy_imports(tree)) == [1, 2, 3, 4, 6]
+    assert list(_non_stdlib_imports(tree)) == [1, 2, 3, 4, 6, 14]
 
 
 _COLD_IMPORTS = ("dataclasses", "fractions", "csv")
