@@ -447,34 +447,17 @@ def count_omega_at_most(x: int, a: int) -> int:
     return omega.translate(bytes(k <= a for k in range(256))).count(1, 1)
 
 
-def prime_discriminant_parts(d: int) -> tuple[tuple[int, Factorization], ...]:
+def prime_discriminant_parts(d: int) -> tuple[int, ...]:
     """Split a fundamental discriminant into prime discriminants.
 
     Every fundamental d factors uniquely as a product of prime
     discriminants: p* = (-1)^((p-1)/2) p for odd p, and one of
     -4, 8, -8 at 2.  Returns the parts sorted by |part|.
     """
-    f = factor_fundamental(d)
-    parts: list[int] = []
-    two_exp = f.v(2)
-    for p, _ in f.factors:
-        if p == 2:
-            continue
-        pstar = p if p % 4 == 1 else -p
-        parts.append(pstar)
-    if two_exp:
-        odd_prod = 1
-        for q in parts:
-            odd_prod *= q
-        two_part = d // odd_prod
-        if two_part not in (-4, 8, -8):
-            raise InvariantViolation(f"bad 2-part {two_part} of {d}")
+    parts = [p if p % 4 == 1 else -p for p in factor_fundamental(d).primes() if p != 2]
+    two_part = d // math.prod(parts)
+    if two_part not in (1, -4, 8, -8):
+        raise InvariantViolation(f"bad 2-part {two_part} of {d}")
+    if two_part != 1:
         parts.append(two_part)
-    else:
-        prod = 1
-        for q in parts:
-            prod *= q
-        if prod != d:
-            raise InvariantViolation(f"prime parts {parts} do not multiply to {d}")
-    parts.sort(key=abs)
-    return tuple((q, factorize(q)) for q in parts)
+    return tuple(sorted(parts, key=abs))

@@ -135,27 +135,6 @@ def watkins_threshold(curve: CurveRecord, *, assume_manin: bool = False) -> Thre
     )
 
 
-def minimal_twist_candidates(n_fact: Factorization) -> tuple[int, ...]:
-    """Non-trivial fundamental discriminants supported on 2N's primes.
-
-    Products of odd prime discriminants p* for p | N times a 2-part
-    from {1, -4, 8, -8}; conductor-reducing twists live here.
-    """
-    odd = [p for p in n_fact.primes() if p != 2]
-    parts = [p if p % 4 == 1 else -p for p in odd]
-    out = []
-    for mask in range(1 << len(parts)):
-        base = 1
-        for i, q in enumerate(parts):
-            if mask >> i & 1:
-                base *= q
-        for two in (1, -4, 8, -8):
-            d = base * two
-            if d != 1:
-                out.append(d)
-    return tuple(sorted(out, key=lambda d: (abs(d), d < 0)))
-
-
 def _twist_minimal_model(curve: CurveRecord, d: int, d_primes=()) -> tuple[set[int], WeierstrassModel]:
     """A prime set holding every bad prime of the twist by d, and its minimal model over it.
 
@@ -169,25 +148,37 @@ def _twist_minimal_model(curve: CurveRecord, d: int, d_primes=()) -> tuple[set[i
 
 @lru_cache(maxsize=32)
 def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
-    """Whether no candidate twist has a strictly smaller conductor.
+    """Whether no twist supported on 2N has a strictly smaller conductor.
 
-    Returns (flag, witness): witness is the discriminant achieving the
-    smallest twisted conductor when one beats the curve itself.  Every
-    candidate is supported on 2N, so nothing is factored.  The answer
-    is memoized per record, keyed on every field, so single twists of
-    one curve pay for the candidate conductors once.
+    Returns (flag, witness): witness is the discriminant of the smallest
+    twisted conductor, then the smallest |d|, then d > 0, when that
+    conductor beats N.  The exponent of N_D at p depends only on D's
+    prime discriminant at p, since p* = +-p = 1 (mod 4) is unramified at
+    every other prime and a 2-part -4, 8, -8 at every odd prime.  So the
+    minimum is taken prime by prime: p* joins the witness only when its
+    twist has a smaller exponent at p than N, and at 2 the lowest
+    exponent among the 2-parts 1, -4, 8, -8 wins, then the smallest |t|,
+    then the t that makes the witness positive.  That is omega_odd(N) + 3
+    twisted conductors, each supported on 2N, so nothing is factored.
+    The answer is memoized per record, keyed on every field, so single
+    twists of one curve pay for the check once.
     """
-    n = curve.conductor.value
-    best = None
-    witness = None
-    for d in minimal_twist_candidates(curve.conductor):
+    n = curve.conductor
+
+    def exponent(d: int, p: int) -> int:
         support, twist_min = _twist_minimal_model(curve, d)
-        cond = conductor_from_support(twist_min, support, proven=True).value
-        key = (cond, abs(d), 0 if d > 0 else 1)
-        if cond < n and (best is None or key < best):
-            best = key
-            witness = d
-    return witness is None, witness
+        return conductor_from_support(twist_min, support, proven=True).v(p)
+
+    odd = 1
+    for p in n.primes():
+        pstar = p if p % 4 == 1 else -p
+        if p != 2 and exponent(pstar, p) < n.v(p):
+            odd *= pstar
+    at_two = {1: n.v(2), **{t: exponent(t, 2) for t in (-4, 8, -8)}}
+    lowest = min(at_two.values())
+    two = min((t for t, e in at_two.items() if e == lowest), key=lambda t: (abs(t), t * odd < 0))
+    d = odd * two
+    return (True, None) if d == 1 else (False, d)
 
 
 class CertifyContext:

@@ -21,6 +21,7 @@ from .certify import (
     CertifyContext,
     _enc_fact,
     certificate_to_obj,
+    is_minimal_twist,
     obj_to_flat,
     verify_twist,
     watkins_threshold,
@@ -212,8 +213,6 @@ def _cmd_conductor(args) -> int:
 
 
 def _cmd_minimal_twist(args) -> int:
-    from .certify import is_minimal_twist
-
     record = _resolve_record(args)
     flag, witness = is_minimal_twist(record)
     _emit(

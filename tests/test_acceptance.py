@@ -218,7 +218,7 @@ def test_discriminant_machinery():
 
     for d in enumerate_fundamental_discriminants(300):
         prod = 1
-        for q, _ in prime_discriminant_parts(d):
+        for q in prime_discriminant_parts(d):
             assert is_fundamental_discriminant(q)
             prod *= q
         assert prod == d

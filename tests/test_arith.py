@@ -1,5 +1,6 @@
 """Valuations, factoring, and fundamental discriminants."""
 
+import math
 import random
 
 import pytest
@@ -331,9 +332,9 @@ def test_fundamentality_with_a_prime_above_the_trial_wall(p, e, cofactor):
 
 
 def test_prime_discriminant_parts_frozen():
-    assert [q for q, _ in prime_discriminant_parts(5)] == [5]
-    assert [q for q, _ in prime_discriminant_parts(-24)] == [-3, 8]
-    assert [q for q, _ in prime_discriminant_parts(-420)] == [-3, -4, 5, -7]
+    assert prime_discriminant_parts(5) == (5,)
+    assert prime_discriminant_parts(-24) == (-3, 8)
+    assert prime_discriminant_parts(-420) == (-3, -4, 5, -7)
 
 
 def test_prime_discriminant_parts_reject_non_fundamental():
@@ -349,12 +350,8 @@ def test_prime_discriminant_parts_reconstruct(a):
         if not is_fundamental_discriminant(d) or d == 1:
             continue
         parts = prime_discriminant_parts(d)
-        prod = 1
-        for q, qf in parts:
-            assert is_fundamental_discriminant(q)
-            assert qf.value == q and qf.omega == 1
-            prod *= q
-        assert prod == d
+        assert all(is_fundamental_discriminant(q) for q in parts)
+        assert math.prod(parts) == d
 
 
 # --- density counting --------------------------------------------------------

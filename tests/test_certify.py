@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from watkins.certify import (
     is_minimal_twist,
     kappa,
     local_v2_contribution,
-    minimal_twist_candidates,
     moddeg_v2_lower_exact,
     moddeg_v2_lower_torsion,
     obj_to_flat,
@@ -32,7 +32,7 @@ from watkins.certify import (
     verify_twist,
     watkins_threshold,
 )
-from watkins.ecq import build_curve_record, conductor, quadratic_twist
+from watkins.ecq import build_curve_record, conductor, conductor_from_support, quadratic_twist
 from watkins.errors import (
     HasseViolation,
     MissingInvariant,
@@ -191,6 +191,45 @@ def test_kappa_floor():
 # --- minimal twist detection ------------------------------------------------------
 
 
+def minimal_twist_candidates(n_fact):
+    """Non-trivial fundamental discriminants supported on 2N's primes.
+
+    Products of odd prime discriminants p* for p | N times a 2-part
+    from {1, -4, 8, -8}; conductor-reducing twists live here.
+    """
+    odd = [p for p in n_fact.primes() if p != 2]
+    parts = [p if p % 4 == 1 else -p for p in odd]
+    out = []
+    for mask in range(1 << len(parts)):
+        base = 1
+        for i, q in enumerate(parts):
+            if mask >> i & 1:
+                base *= q
+        for two in (1, -4, 8, -8):
+            d = base * two
+            if d != 1:
+                out.append(d)
+    return tuple(sorted(out, key=lambda d: (abs(d), d < 0)))
+
+
+def _minimal_twist_reference(curve):
+    """is_minimal_twist by enumeration: all 4 * 2^k - 1 twists supported on 2N, k = omega_odd(N).
+
+    The smallest (N_D, |d|, d < 0) among the twists with N_D < N is the witness.
+    """
+    n = curve.conductor.value
+    best = None
+    witness = None
+    for d in minimal_twist_candidates(curve.conductor):
+        support, twist_min = certify._twist_minimal_model(curve, d)
+        cond = conductor_from_support(twist_min, support, proven=True).value
+        key = (cond, abs(d), 0 if d > 0 else 1)
+        if cond < n and (best is None or key < best):
+            best = key
+            witness = d
+    return witness is None, witness
+
+
 def test_minimal_twist_candidates_for_17():
     assert minimal_twist_candidates(factorize(17)) == (-4, 8, -8, 17, -68, 136, -136)
 
@@ -208,6 +247,40 @@ def test_is_minimal_twist(records):
     rec = build_curve_record(tw.ainvs())
     assert rec.conductor.value == 5**2 * 17
     assert is_minimal_twist(rec) == (False, 5)
+
+
+@given(
+    st.integers(min_value=-3000, max_value=3000),
+    st.integers(min_value=-3000, max_value=3000),
+    st.sampled_from((0, 1)),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_is_minimal_twist_matches_the_enumeration(a, b, a1, data):
+    # y^2 + a1*xy = x(x - A)(x + B) has the 2-torsion point (0, 0); its discriminant is
+    # (AB)^2 * (b2^2 + 64AB), b2 = a1 + 4(B - A).  Its twist by a d supported on 2N brings in
+    # non-minimal curves, whose witnesses meet the |t| and sign tie-breaks at 2.
+    b2 = a1 + 4 * (b - a)
+    assume(a * b != 0 and b2 * b2 != -64 * a * b)
+    rec = build_curve_record((a1, b - a, 0, -a * b, 0))
+    d = data.draw(st.sampled_from(minimal_twist_candidates(rec.conductor)), label="d")
+    # a twist keeps E[2]; building it with build_curve_record would factor 2-division constants
+    mm, min_disc, cond = ecq._minimal_disc_conductor(quadratic_twist(rec.minimal_model, d))
+    twisted = rec._replace(minimal_model=mm, min_disc=min_disc, conductor=cond)
+    for curve in (rec, twisted):
+        assert is_minimal_twist(curve) == _minimal_twist_reference(curve)
+
+
+def test_minimality_check_is_local_on_fourteen_primes():
+    # y^2 = x(x - 15015)(x + 247095812): omega(N) = 14, so 4 * 2^13 - 1 twists by enumeration
+    rec = build_curve_record((0, 247080797, 0, -3710143617180, 0))
+    assert rec.conductor.omega == 14
+    certify.is_minimal_twist.cache_clear()
+    start = time.perf_counter()
+    assert is_minimal_twist(rec) == (True, None)
+    assert time.perf_counter() - start < 0.5  # milliseconds for omega(N) + 3 twists
+    twisted = build_curve_record(quadratic_twist(rec.minimal_model, -120).ainvs())
+    assert is_minimal_twist(twisted) == (False, -120)
 
 
 def test_minimality_check_factors_nothing_and_matches_full_conductors(records, monkeypatch):
@@ -344,25 +417,25 @@ def test_verify_assume_manin_holds_with_a_shared_context(records):
 
 
 def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypatch):
-    calls = []  # every candidate twist whose conductor is computed
-    real = certify.minimal_twist_candidates
+    calls = []  # every twist the minimality check reads: verify_twist itself passes d's primes
+    real = certify._twist_minimal_model
 
-    def counting(n_fact):
-        calls.extend(real(n_fact))
-        return real(n_fact)
+    def counting(curve, d, *d_primes):
+        if not d_primes:
+            calls.append(d)
+        return real(curve, d, *d_primes)
 
-    monkeypatch.setattr(certify, "minimal_twist_candidates", counting)
+    monkeypatch.setattr(certify, "_twist_minimal_model", counting)
     rec = records["17a1"]._replace(label="17a1-counted")
     certify.is_minimal_twist.cache_clear()
-    n_candidates = len(minimal_twist_candidates(rec.conductor))
     for d in (5, -3, 13, -4, 1000033):
         verify_twist(rec, d)
-    assert len(calls) == n_candidates
+    assert sorted(calls) == [-8, -4, 8, 17]  # p* for each odd p | N, then the 2-parts
     # a record that differs in any field gets its own check
     verify_twist(rec._replace(label="17a1-relabelled"), 5)
-    assert len(calls) == 2 * n_candidates
+    assert len(calls) == 8
     verify_twist(rec._replace(), 5)
-    assert len(calls) == 2 * n_candidates
+    assert len(calls) == 8
 
 
 def test_height_check_failure_is_inapplicable(records, monkeypatch):
