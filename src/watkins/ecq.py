@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from math import gcd, isqrt, prod
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arith import Factorization, _is_prime, factorize, vp
 from .errors import (
@@ -306,10 +306,6 @@ def _root_multiplicities(coeffs: list[int], p: int) -> dict[int, int]:
     return out
 
 
-def _inv2(p: int) -> int:
-    return pow(2, -1, p)
-
-
 def _tate_In_star(w: WeierstrassModel, p: int, n: int) -> LocalReduction:
     # double root of the step-7 cubic sits at T = 0; walk the I_m* chain
     mx = my = p * p
@@ -321,7 +317,7 @@ def _tate_In_star(w: WeierstrassModel, p: int, n: int) -> LocalReduction:
         c = -(w.a6 // (mx * my))
         if (b * b - 4 * c) % p:
             return LocalReduction(p, f"I{idx}*", n - 4 - idx, "additive")
-        y1 = c % 2 if p == 2 else (-b * _inv2(p)) % p
+        y1 = c % 2 if p == 2 else (-b * pow(2, -1, p)) % p
         w = _shift(w, 0, 0, my * y1)
         my *= p
         idx += 1
@@ -368,7 +364,7 @@ def _tate_small(m: WeierstrassModel, p: int, n: int) -> LocalReduction:
     c = -(w.a6 // p**4)
     if (b * b - 4 * c) % p:
         return LocalReduction(p, "IV*", n - 6, "additive")
-    y1 = c % 2 if p == 2 else (-b * _inv2(p)) % p
+    y1 = c % 2 if p == 2 else (-b * pow(2, -1, p)) % p
     w = _shift(w, 0, 0, p * p * y1)
     if _v(w.a4, p) == 3:
         return LocalReduction(p, "III*", n - 7, "additive")
@@ -477,28 +473,35 @@ def quadratic_twist(m: WeierstrassModel, d: int) -> WeierstrassModel:
     return WeierstrassModel(0, 0, 0, a * d * d, b * d**3)
 
 
+def _integer_roots(b: int, c: int, d: int) -> Iterator[int]:
+    """The integer roots of f = X^3 + bX^2 + cX + d, ascending, with nothing factored.
+
+    The floors of the critical points (-b -+ sqrt(b^2 - 3c))/3 cut the integers inside the Cauchy bound
+    into runs on which f rises, falls and rises (one run when b^2 <= 3c); bisection finds their roots.
+    """
+
+    def f(x: int) -> int:
+        return ((x + b) * x + c) * x + d
+
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    q = b * b - 3 * c
+    s = isqrt(max(q, 0))
+    cuts = [-bound - 1, (-b - s - (s * s < q)) // 3, (-b + s) // 3, bound] if q > 0 else [-bound - 1, bound]
+    for sign, lo, hi in zip((1, -1, 1), cuts, cuts[1:]):  # sign * f rises on lo < x <= hi
+        while hi - lo > 1:  # toward the least x in (lo, hi] with sign * f(x) >= 0
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if sign * f(mid) < 0 else (lo, mid)
+        if hi > lo and f(hi) == 0:
+            yield hi
+
+
 def two_torsion_rank(m: WeierstrassModel) -> int:
     """F_2-rank of E(Q)[2]: 0, 1, or 2.
 
-    Rational 2-torsion x-coordinates are the rational roots of the
-    division polynomial; after X = 4x it is monic, so candidate roots
-    are divisors of the constant term — no floating point involved.
+    Rational 2-torsion x-coordinates are the rational roots of 4x^3 + b2 x^2 + 2b4 x + b6; after
+    X = 4x they are the integer roots of X^3 + b2 X^2 + 8b4 X + 16b6, which `_integer_roots` finds.
     """
-    b2, b4, b6 = m.b2, m.b4, m.b6
-    c0 = 16 * b6
-    if c0 == 0:
-        dsc = b2 * b2 - 32 * b4
-        if dsc == 0:
-            raise InvariantViolation("the 2-division polynomial of a nonsingular model has a double root")
-        if dsc < 0:
-            return 1
-        s = isqrt(dsc)
-        return 2 if s * s == dsc else 1
-    roots = 0
-    for dv in factorize(c0).divisors():
-        for x in (dv, -dv):
-            if x**3 + b2 * x * x + 8 * b4 * x + c0 == 0:
-                roots += 1
+    roots = len(list(_integer_roots(m.b2, 8 * m.b4, 16 * m.b6)))
     if roots not in (0, 1, 3):
         raise InvariantViolation(f"the 2-division polynomial has {roots} rational roots")
     return {0: 0, 1: 1, 3: 2}[roots]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,7 @@ from watkins.arith import (
     v2,
     vp,
 )
-from watkins.ecq import WeierstrassModel, minimal_model
+from watkins.ecq import AP_BSGS_LIMIT, WeierstrassModel, minimal_model
 from watkins.errors import BudgetExceeded, FactoringBudgetExceeded, ZeroInput
 
 M89 = 2**89 - 1  # prime, but above the deterministic Miller-Rabin bound
@@ -182,19 +183,22 @@ def test_factorize_sign_and_zero():
         factorize(0)
 
 
-def test_factorize_divisors():
-    assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
-    assert factorize(-12).divisors() == [1, 2, 3, 4, 6, 12]
-    assert factorize(1).divisors() == [1]
-
-
 def test_factorize_semiprime_beyond_trial_wall(monkeypatch):
     n = 1000003 * 1000033
     f = factorize(n)
     assert f.factors == ((1000003, 1), (1000033, 1)) and f.proven
-    monkeypatch.setattr(arith, "RHO_ROUNDS", 0)
+    monkeypatch.setattr(arith, "RHO_STEPS", 0)
     with pytest.raises(FactoringBudgetExceeded):
         factorize(n)
+
+
+@pytest.mark.parametrize("p, q", [(99999821, 99999827), (99999971, 99999989)])
+def test_rho_budget_splits_two_primes_below_the_point_count_cap(p, q):
+    # a d whose primes are all below AP_BSGS_LIMIT can get a verdict, so it must factor
+    assert max(p, q) < AP_BSGS_LIMIT
+    start = time.perf_counter()
+    assert factorize(p * q * 4).factors == ((2, 2), (p, 1), (q, 1))
+    assert time.perf_counter() - start < 1
 
 
 def test_factorize_unproven_prime_is_flagged():
@@ -211,7 +215,7 @@ def test_factorize_perfect_power_of_large_prime():
 def test_factorize_splits_the_base_of_a_perfect_power_once(monkeypatch):
     splits = []
     rho = arith._brent_rho
-    monkeypatch.setattr(arith, "_brent_rho", lambda n, rounds: splits.append(n) or rho(n, rounds))
+    monkeypatch.setattr(arith, "_brent_rho", lambda n, steps: splits.append(n) or rho(n, steps))
     base = 1000003 * 1000033
     f = factorize(base**6 * 7)
     assert f.factors == ((7, 1), (1000003, 6), (1000033, 6)) and f.proven

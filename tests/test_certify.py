@@ -264,11 +264,53 @@ def test_is_minimal_twist_matches_the_enumeration(a, b, a1, data):
     assume(a * b != 0 and b2 * b2 != -64 * a * b)
     rec = build_curve_record((a1, b - a, 0, -a * b, 0))
     d = data.draw(st.sampled_from(minimal_twist_candidates(rec.conductor)), label="d")
-    # a twist keeps E[2]; building it with build_curve_record would factor 2-division constants
-    mm, min_disc, cond = ecq._minimal_disc_conductor(quadratic_twist(rec.minimal_model, d))
-    twisted = rec._replace(minimal_model=mm, min_disc=min_disc, conductor=cond)
+    twisted = build_curve_record(quadratic_twist(rec.minimal_model, d).ainvs())
+    assert twisted.two_torsion_rank == rec.two_torsion_rank  # a twist keeps E[2]
     for curve in (rec, twisted):
         assert is_minimal_twist(curve) == _minimal_twist_reference(curve)
+
+
+def _square_class(d: int, p: int) -> tuple[int, int]:
+    # the class of a fundamental d in Q_p*/Q_p*^2: its prime discriminant at p (or 1), and the
+    # rest, a p-adic unit, by its Legendre symbol at odd p and its residue mod 8 at 2
+    parts = arith.prime_discriminant_parts(d)
+    at_p = next((q for q in parts if q % p == 0), 1)
+    rest = d // at_p
+    return at_p, rest % 8 if p == 2 else pow(rest, (p - 1) // 2, p)
+
+
+_SMALL_FUNDAMENTAL = list(enumerate_fundamental_discriminants(400))
+
+
+def test_square_classes_are_eight_at_two_and_four_at_odd_primes():
+    assert len({_square_class(d, 2) for d in _SMALL_FUNDAMENTAL}) == 8
+    for p in (3, 5, 7, 17):
+        assert len({_square_class(d, p) for d in _SMALL_FUNDAMENTAL}) == 4, p
+
+
+@given(
+    st.integers(min_value=-3000, max_value=3000),
+    st.integers(min_value=-3000, max_value=3000),
+    st.sampled_from((0, 1)),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_twists_in_one_square_class_at_p_agree_at_p(a, b, a1, data):
+    # E^d over Q_p depends only on the class of d in Q_p*/Q_p*^2, so the conductor exponent
+    # and v_p of the minimal discriminant at p do too: the rule a per-(p, class) table rests on
+    b2 = a1 + 4 * (b - a)
+    assume(a * b != 0 and b2 * b2 != -64 * a * b)
+    rec = build_curve_record((a1, b - a, 0, -a * b, 0))
+    p = data.draw(st.sampled_from(sorted({2, *rec.conductor.primes()})), label="p")
+    d = data.draw(st.sampled_from(_SMALL_FUNDAMENTAL), label="d")
+    same = [e for e in _SMALL_FUNDAMENTAL if _square_class(e, p) == _square_class(d, p)]
+    d2 = data.draw(st.sampled_from(same), label="d2")
+
+    def local(d):
+        support, twist_min = certify._twist_minimal_model(rec, d, factorize(d).primes())
+        return conductor_from_support(twist_min, support, proven=True).v(p), arith.vp(twist_min.disc, p)
+
+    assert local(d) == local(d2)
 
 
 def test_minimality_check_is_local_on_fourteen_primes():

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import urllib.request
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import watkins
 from watkins import arith, ecq
 from watkins.certify import CERT_FIELDS
 from watkins.cli import main
+from watkins.errors import FactoringBudgetExceeded
 
 from conftest import checksummed_line
 
@@ -67,6 +69,35 @@ def test_usage_errors_exit_two(capsys):
 
     code, _, err = run(capsys, "fetch", "--label", "999z9", "--offline")
     assert code == 2 and "not available offline" in err
+
+
+def test_a_d_rho_cannot_split_exits_two_within_seconds(capsys, monkeypatch):
+    # 10^38 + 1 = 101 * a 36-digit composite with no prime factor rho reaches within RHO_STEPS
+    raised, rho = [], arith._brent_rho
+
+    def spy(n, steps):
+        try:
+            return rho(n, steps)
+        except FactoringBudgetExceeded as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(arith, "_brent_rho", spy)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--label", "17a1", "--offline", "--d", str(10**38 + 1))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and len(raised) == 1
+    assert err == f"error: {raised[0]}\n" and "990099009900990099009900990099009901" in err
+
+
+def test_a_curve_with_a_large_two_division_constant_verifies_within_seconds(capsys):
+    # rational 2-torsion is found without factoring 16 b6, whose cofactor past trial division has 41 digits
+    curve = "0,1,0,-10737685738349923859307006813537,-5470259820718050594910720652148511698490129377"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--curve", curve, "--moddeg", "1", "--manin", "1", "--d", "5")
+    assert time.perf_counter() - start < 2
+    # the first gate passes; the second fails, as the twist by 1388135011352 has a smaller conductor
+    assert code == 3 and json.loads(out)["verdict"] == "INAPPLICABLE(not_minimal_twist)"
 
 
 def test_argparse_usage_exits_two(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from watkins import arith, ecq
@@ -433,6 +433,85 @@ def test_two_torsion_values(records):
     assert two_torsion_rank(records["17a1"].minimal_model) == 1
     assert two_torsion_rank(records["32a2"].minimal_model) == 2
     assert two_torsion_rank(records["15a1"].minimal_model) == 2
+
+
+def test_integer_roots_match_a_scan_inside_the_cauchy_bound():
+    # every monic cubic with |b| <= 8, |c|, |d| <= 16: double roots, cuts that meet, roots at a cut
+    for b in range(-8, 9):
+        for c in range(-16, 17):
+            for d in range(-16, 17):
+                bound = 1 + max(abs(b), abs(c), abs(d))
+                want = [x for x in range(-bound, bound + 1) if ((x + b) * x + c) * x + d == 0]
+                assert list(ecq._integer_roots(b, c, d)) == want, (b, c, d)
+
+
+def _two_torsion_rank_reference(m):
+    # the rational roots of the monic X^3 + b2 X^2 + 8b4 X + 16b6 are integers dividing its constant term
+    b2, b4, c0 = m.b2, m.b4, 16 * m.b6
+    if c0 == 0:  # X = 0, and the roots of X^2 + b2 X + 8b4
+        dsc = b2 * b2 - 32 * b4
+        return 2 if dsc >= 0 and isqrt(dsc) ** 2 == dsc else 1
+    divisors = [1]
+    for p, e in arith.factorize(c0).factors:
+        divisors = [dv * p**i for dv in divisors for i in range(e + 1)]
+    roots = sum(1 for dv in divisors for x in (dv, -dv) if x**3 + b2 * x * x + 8 * b4 * x + c0 == 0)
+    return {0: 0, 1: 1, 3: 2}[roots]
+
+
+_small = st.integers(min_value=-(10**4), max_value=10**4)
+# y^2 + a1 xy = x(x - A)(x + B), with (0, 0) of order 2, moved by a random (r, s, t)
+_with_two_torsion = st.builds(
+    lambda a1, a, b, r, s, t: ((a1, b - a, 0, -a * b, 0), (r, s, t)),
+    st.sampled_from((0, 1)), _small, _small, *[st.integers(min_value=-300, max_value=300)] * 3,
+)
+# random models, almost all without 2-torsion
+_any_model = st.tuples(st.tuples(*[_small] * 5), st.just((0, 0, 0)))
+# a3 = a6 = 0, so b6 = 0 and X = 0 is a root
+_root_at_zero = st.tuples(st.tuples(_small, _small, st.just(0), _small, st.just(0)), st.just((0, 0, 0)))
+
+
+@given(st.one_of(_with_two_torsion, _any_model, _root_at_zero))
+@settings(max_examples=300, deadline=None)
+def test_two_torsion_rank_matches_the_divisor_reference(curve):
+    ainvs, shift = curve
+    try:
+        m = ecq._shift(WeierstrassModel(*ainvs), *shift)
+    except SingularModel:
+        assume(False)
+    assert two_torsion_rank(m) == _two_torsion_rank_reference(m)
+
+
+_root = st.integers(min_value=-(10**13), max_value=10**13)
+_wide = st.integers(min_value=-(10**40), max_value=10**40)
+
+
+@given(_root, _root, _root, _wide, st.sampled_from(("split", "irreducible", "none")))
+@settings(max_examples=100, deadline=None)
+def test_two_torsion_rank_of_known_roots_at_forty_digits(r, u, v, w, kind):
+    # y^2 = x^3 + a2 x^2 + a4 x + a6, built from its roots, so the rank is known without factoring
+    if kind == "split":  # (x - r)(x - u)(x - v), three distinct roots
+        assume(len({r, u, v}) == 3)
+        (a2, a4, a6), rank = (-(r + u + v), r * u + r * v + u * v, -r * u * v), 2
+    elif kind == "irreducible":  # (x - r)(x^2 + sx + t), s and t odd: s^2 - 4t = 5 (mod 8) is no square
+        s, t = 2 * u + 1, 2 * w + 1
+        (a2, a4, a6), rank = (s - r, t - r * s, -r * t), 1
+    else:  # Eisenstein at 2: x^3 + 2u x^2 + 2v x + 2(2w + 1) has no rational root
+        (a2, a4, a6), rank = (2 * u, 2 * v, 2 * (2 * w + 1)), 0
+    try:
+        m = WeierstrassModel(0, a2, 0, a4, a6)
+    except SingularModel:
+        assume(False)
+    assert two_torsion_rank(m) == rank
+
+
+def test_two_torsion_rank_factors_nothing(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) in two_torsion_rank")
+
+    monkeypatch.setattr(ecq, "factorize", refuse)
+    # 16 b6 leaves a 41-digit cofactor past trial division, which rho does not split within RHO_STEPS
+    m = WeierstrassModel(0, 1, 0, -10737685738349923859307006813537, -5470259820718050594910720652148511698490129377)
+    assert two_torsion_rank(m) == 1
 
 
 # --- point counting ------------------------------------------------------------------

@@ -127,3 +127,44 @@ def test_the_private_import_rule_sees_every_form():
         "ecq:1 arith._trial_divide", "ecq:2 certify._enc_fact", "ecq:7 arith._iroot"
     ]
     assert list(_private_sibling_imports("cli", ast.parse("from .certify import _enc_fact\n"))) == []
+
+
+# the only functions that may factor, and what they factor; every other number is
+# split by what is already known of it
+_FACTORING_CALLERS = {
+    "arith.is_fundamental_discriminant",  # d
+    "arith.factor_fundamental",  # d
+    "arith.prime_discriminant_parts",  # d
+    "certify.verify_twist",  # d
+    "ecq.minimal_model",  # gcd(c4, c6)
+    "ecq._minimal_disc_conductor",  # the minimal discriminant
+    "ecq._exact_order",  # a group order of at most 2p + 2
+}
+
+
+def _factoring_calls(module: str, tree: ast.AST):
+    # calls of factorize or factor_fundamental, bare or as an attribute, named by the enclosing top-level function
+    for top in tree.body:
+        caller = f"{module}.{top.name}" if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else f"{module}.<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if name in ("factorize", "factor_fundamental") and caller not in _FACTORING_CALLERS:
+                    yield f"{caller}:{node.lineno}"
+
+
+def test_factoring_happens_only_where_listed():
+    # rho may take seconds on a number with two large primes, so each call site is a decision
+    found = [hit for path in SOURCES for hit in _factoring_calls(path.stem, ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_factoring_rule_sees_bare_and_attribute_calls():
+    tree = ast.parse(
+        "def minimal_model(m):\n    return factorize(m)\n"
+        "def two_torsion_rank(m):\n    return factorize(m.b6).primes()\n"
+        "class C:\n    def f(self, n):\n        return arith.factor_fundamental(n)\n"
+        "x = factorize(12)\nfactorize_later = 1\n"
+    )
+    assert list(_factoring_calls("ecq", tree)) == ["ecq.two_torsion_rank:4", "ecq.C:7", "ecq.<module>:8"]
