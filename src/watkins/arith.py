@@ -4,11 +4,11 @@
 and whether k is squarefree, for every k up to the bound (at most 10^7).
 
 Factoring is trial division to TRIAL_LIMIT, then Brent's rho under an
-explicit step budget.  Primality is Miller-Rabin over the shortest
-prefix of 13 bases that is proven for n, and a seeded probabilistic
-fallback past the last proven bound; results carry a ``proven`` flag
-so downstream certificates can record the assumption instead of
-hiding it.
+explicit budget of steps, each charged by the length of the number.
+Primality is Miller-Rabin over the shortest prefix of 13 bases that is
+proven for n, and a seeded probabilistic fallback past the last proven
+bound; results carry a ``proven`` flag so downstream certificates can
+record the assumption instead of hiding it.
 
 Trial division, which only `factorize` runs, reads a table of small
 primes that grows on demand: it starts with the primes below 1024 and
@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 from .errors import BudgetExceeded, FactoringBudgetExceeded, InvariantViolation, ZeroInput
 
 TRIAL_LIMIT = 10**6
-# Brent rho steps per composite before FactoringBudgetExceeded, read on each call; ~2 s on 40 digits
+# Brent rho step units per composite before FactoringBudgetExceeded, read on each call; ~2 s on 40 digits
 RHO_STEPS = 1 << 22
 
 # Miller-Rabin bases, and psi_k (OEIS A014233): the first k bases prove
@@ -209,19 +209,21 @@ def _brent_rho(n: int, steps: int) -> int:
     Deterministic: the polynomial constant walks 1, 2, 3, ... so reruns
     agree.  Every polynomial step, under any constant and in the backtrack,
     counts against ``steps`` (a round is charged before it runs), and
-    FactoringBudgetExceeded is raised once they are spent.  A prime
+    FactoringBudgetExceeded is raised once they are spent; a step on n of
+    b bits costs max(1, b // 128), as its time grows with b.  A prime
     factor q takes about sqrt(q) steps, so primes to about 10^12 split.
     """
     if n % 2 == 0:
         return 2
+    charge = max(1, n.bit_length() // 128)
     spent = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
-            spent += 2 * r
+            spent += 2 * r * charge
             if spent > steps:
-                raise FactoringBudgetExceeded(f"rho gave up on {n} after {steps} steps")
+                raise FactoringBudgetExceeded(f"rho gave up on {n} after {steps // charge} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -238,7 +240,7 @@ def _brent_rho(n: int, steps: int) -> int:
             # backtrack one step at a time, at most one batch of 128
             g = 1
             while g == 1:
-                spent += 1
+                spent += charge
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if 1 < g < n:

@@ -181,17 +181,32 @@ def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
     return (True, None) if d == 1 else (False, d)
 
 
+AP_SHARED_LIMIT = 10**4
+
+
+@lru_cache(maxsize=32)
+def _shared_traces(model: WeierstrassModel) -> dict[int, int]:
+    return {}
+
+
 class CertifyContext:
-    """The a_p values of one base curve, shared across many of its twists."""
+    """The a_p values of one base curve, shared across many of its twists.
+
+    a_p depends on the minimal model alone, so a_p at the 1,229 primes
+    below AP_SHARED_LIMIT goes to one store per model (32 models kept),
+    shared by every context and every single-twist call of the process.
+    """
 
     def __init__(self, curve: CurveRecord):
         self.curve = curve
+        self._shared = _shared_traces(curve.minimal_model)
         self._ap: dict[int, int] = {}
 
     def ap(self, p: int) -> int:
-        if p not in self._ap:
-            self._ap[p] = a_p(self.curve.minimal_model, p)
-        return self._ap[p]
+        store = self._shared if p < AP_SHARED_LIMIT else self._ap
+        if p not in store:
+            store[p] = a_p(self.curve.minimal_model, p)
+        return store[p]
 
 
 class TwistCertificate(NamedTuple):

@@ -9,11 +9,13 @@ checksummed format so a flipped byte in either is caught, not served:
 Every row is untrusted input.  Cache, fixture and remote rows pass one
 field check (`row_from_obj`), and everything recomputable is recomputed
 and compared before a CurveRecord is built from them.
+
+The digest is the built-in SHA-256, as `random` takes its SHA-512:
+`hashlib` maps OpenSSL, megabytes and milliseconds on a cold verify.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -25,6 +27,14 @@ from urllib.parse import urlencode  # pathlib loads it already
 
 from .ecq import CurveRecord, build_curve_record
 from .errors import CorruptCache, NetworkError, NotFound, SchemaMismatch, ValidationError
+
+try:
+    from _sha2 import sha256 as _builtin_sha256  # CPython 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _builtin_sha256  # CPython up to 3.11
+    except ImportError:
+        _builtin_sha256 = None
 
 
 class CurveDataRow(NamedTuple):
@@ -76,8 +86,11 @@ def row_from_obj(obj) -> CurveDataRow:
     return row._replace(ainvs=tuple(ainvs), torsion_structure=None if torsion is None else tuple(torsion))
 
 
-def _canonical_row_json(row_obj: dict) -> str:
-    return json.dumps(row_obj, sort_keys=True, separators=(",", ":"))
+def _row_digest(row_obj: dict) -> str:
+    sha256 = _builtin_sha256
+    if sha256 is None:
+        from hashlib import sha256
+    return sha256(json.dumps(row_obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def row_to_line(row: CurveDataRow) -> str:
@@ -85,8 +98,7 @@ def row_to_line(row: CurveDataRow) -> str:
     obj["ainvs"] = list(row.ainvs)
     if row.torsion_structure is not None:
         obj["torsion_structure"] = list(row.torsion_structure)
-    digest = hashlib.sha256(_canonical_row_json(obj).encode()).hexdigest()
-    return json.dumps({"row": obj, "sha256": digest}, separators=(",", ":"))
+    return json.dumps({"row": obj, "sha256": _row_digest(obj)}, separators=(",", ":"))
 
 
 def row_from_line(line: str | bytes, *, offset: int | None = None, label: str | None = None) -> CurveDataRow | None:
@@ -101,7 +113,7 @@ def row_from_line(line: str | bytes, *, offset: int | None = None, label: str | 
         digest = wrapper["sha256"]
     except (ValueError, KeyError, TypeError) as err:  # ValueError covers bad JSON and bad UTF-8
         raise CorruptCache(f"unparseable cache line: {err}", offset=offset) from err
-    if hashlib.sha256(_canonical_row_json(obj).encode()).hexdigest() != digest:
+    if _row_digest(obj) != digest:
         raise CorruptCache("cache line failed its checksum", offset=offset)
     try:
         return row_from_obj(obj)

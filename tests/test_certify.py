@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -347,7 +348,8 @@ def test_minimality_check_factors_nothing_and_matches_full_conductors(records, m
     assert [want[f"17a1^{d}"] for d in (5, -4, 8)] == [(False, 5), (False, -4), (False, 8)]
 
 
-def test_context_caches_traces(records, monkeypatch):
+def _counted_traces(monkeypatch) -> list[int]:
+    """The primes certify.a_p is called at from now on; the per-model store starts empty."""
     calls = []
     real = certify.a_p
 
@@ -356,9 +358,59 @@ def test_context_caches_traces(records, monkeypatch):
         return real(m, p, **kw)
 
     monkeypatch.setattr(certify, "a_p", counting)
+    certify._shared_traces.cache_clear()
+    return calls
+
+
+def test_context_caches_traces(records, monkeypatch):
+    calls = _counted_traces(monkeypatch)
     ctx = CertifyContext(records["17a1"])
     assert ctx.ap(5) == ctx.ap(5) == -2
     assert calls == [5]
+
+
+def test_contexts_of_one_curve_share_traces_below_the_limit(records, monkeypatch):
+    rec = records["17a1"]
+    small = [p for p in arith.small_primes()[1:] if p < certify.AP_SHARED_LIMIT and rec.conductor.value % p]
+    assert len(small) == 1229 - 2  # every prime below 10^4 but 2 and 17
+    calls = _counted_traces(monkeypatch)
+    first, second = CertifyContext(rec), CertifyContext(rec)
+    assert [first.ap(p) for p in small] == [second.ap(p) for p in small]
+    assert calls == small
+    # a prime at or above the limit is kept by its context alone
+    del calls[:]
+    assert first.ap(10007) == first.ap(10007) == second.ap(10007)
+    assert calls == [10007, 10007]
+
+
+def test_single_twist_calls_share_traces_below_the_limit(records, monkeypatch):
+    rec = records["17a1"]
+    calls = _counted_traces(monkeypatch)
+    assert verify_twist(rec, 65) == verify_twist(rec, 65)  # 5 * 13
+    assert verify_twist(rec, -50035) == verify_twist(rec, -50035)  # -5 * 10007
+    assert calls == [5, 13, 10007, 10007]
+    # the store is keyed on the minimal model, so a record differing in another field shares it
+    other = rec._replace(moddeg=2)
+    assert verify_twist(other, 65).lower_bound_exact == verify_twist(rec, 65).lower_bound_exact + 1
+    assert calls == [5, 13, 10007, 10007]
+    assert CertifyContext(other)._shared is CertifyContext(rec)._shared
+
+
+def test_single_twist_store_stays_below_the_limit(records):
+    # 20,000 twists with |d| up to 10^7 leave at most the 1,229 primes below 10^4 per model
+    rng = random.Random(20)
+    curves = [records[label] for label in ("17a1", "32a1", "49a1")]
+    certify._shared_traces.cache_clear()
+    for i in range(20000):
+        d = 0
+        while not is_fundamental_discriminant(d):
+            d = rng.choice((-1, 1)) * rng.randint(10**6 + 1, 10**7)
+        verify_twist(curves[i % 3], d)
+    for rec in curves:
+        store = certify._shared_traces(rec.minimal_model)
+        assert 0 < len(store) <= 1229
+        assert all(p < certify.AP_SHARED_LIMIT for p in store)
+    assert certify._shared_traces.cache_info().currsize == 3
 
 
 # --- verify_twist -------------------------------------------------------------------

@@ -71,23 +71,37 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "not available offline" in err
 
 
-def test_a_d_rho_cannot_split_exits_two_within_seconds(capsys, monkeypatch):
-    # 10^38 + 1 = 101 * a 36-digit composite with no prime factor rho reaches within RHO_STEPS
+def _verify_until_rho_gives_up(capsys, monkeypatch, d):
+    """verify on d with a spy on _brent_rho: exit code, stderr, and each (n, error) rho gave up with."""
     raised, rho = [], arith._brent_rho
 
     def spy(n, steps):
         try:
             return rho(n, steps)
         except FactoringBudgetExceeded as err:
-            raised.append(err)
+            raised.append((n, err))
             raise
 
     monkeypatch.setattr(arith, "_brent_rho", spy)
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--label", "17a1", "--offline", "--d", str(10**38 + 1))
+    code, out, err = run(capsys, "verify", "--label", "17a1", "--offline", "--d", str(d))
     assert time.perf_counter() - start < 5
-    assert code == 2 and out == "" and len(raised) == 1
-    assert err == f"error: {raised[0]}\n" and "990099009900990099009900990099009901" in err
+    assert out == "" and len(raised) == 1 and err == f"error: {raised[0][1]}\n"
+    return code, err, raised[0][0]
+
+
+def test_a_d_rho_cannot_split_exits_two_within_seconds(capsys, monkeypatch):
+    # 10^38 + 1 = 101 * a 36-digit composite with no prime factor rho reaches within RHO_STEPS
+    code, err, n = _verify_until_rho_gives_up(capsys, monkeypatch, 10**38 + 1)
+    assert code == 2 and n == 990099009900990099009900990099009901
+    assert err.endswith(f"after {arith.RHO_STEPS} steps\n")  # below 256 bits a step costs one unit
+
+
+def test_a_d_of_300_digits_exits_two_within_seconds(capsys, monkeypatch):
+    # a rho step on the 860-bit cofactor is charged 6 units, so the budget bounds time, not steps
+    code, err, n = _verify_until_rho_gives_up(capsys, monkeypatch, 10**300 + 1)
+    assert code == 2 and n.bit_length() == 860
+    assert err.endswith(f"after {arith.RHO_STEPS // 6} steps\n")
 
 
 def test_a_curve_with_a_large_two_division_constant_verifies_within_seconds(capsys):
@@ -498,13 +512,14 @@ print(*codes, out.getvalue().count("\\n"), "numpy" in sys.modules)
 
 
 def test_cold_verify_loads_no_dataclasses_fractions_or_csv():
-    # a verify builds NamedTuple records, checks models in integers and writes JSON
+    # a verify builds NamedTuple records, checks models in integers, checksums rows without OpenSSL and writes JSON
     code = """
 import contextlib, io, sys
 from watkins import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "--label", "17a1", "--offline", "--d", "5"])
-off_path = {"dataclasses", "inspect", "fractions", "decimal", "csv", "urllib.request", "http.client", "ssl"}
+off_path = {"dataclasses", "inspect", "fractions", "decimal", "csv", "urllib.request", "http.client", "ssl",
+            "hashlib", "_hashlib"}
 print(code, *sorted(off_path & set(sys.modules)))
 """
     assert _fresh_python(code).split() == ["0"]

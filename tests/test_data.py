@@ -1,15 +1,19 @@
 """Fixture loading, cache integrity, remote parsing, and validation."""
 
+import hashlib
 import http.client
 import io
 import json
 import socket
 import urllib.error
 import urllib.request
+from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
+import watkins
+from watkins import data
 from watkins.data import (
     CurveCache,
     CurveDataRow,
@@ -101,6 +105,32 @@ def test_row_line_roundtrip():
     assert row_from_line(line) == ROW_389
     wrapper = json.loads(line)
     assert set(wrapper) == {"row", "sha256"}
+
+
+def _hashlib_digest(row: dict) -> str:
+    return hashlib.sha256(json.dumps(row, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_checksums_are_hashlib_sha256(tmp_path, monkeypatch):
+    # rows are checksummed by the interpreter's built-in SHA-256, which must give hashlib's digests
+    assert data._builtin_sha256 is not None
+    lines = (Path(watkins.__file__).parent / "fixtures" / "curves.jsonl").read_text().splitlines()
+    wrappers = [json.loads(line) for line in lines if line.strip()]
+    assert len(wrappers) == 21
+    for wrapper in wrappers:
+        assert wrapper["sha256"] == _hashlib_digest(wrapper["row"]) == data._row_digest(wrapper["row"])
+
+    cache = CurveCache(tmp_path)
+    cache.put(ROW_389)
+    (line,) = cache.path.read_text().splitlines()
+    wrapper = json.loads(line)
+    assert wrapper["sha256"] == _hashlib_digest(wrapper["row"])
+    assert cache.get("389a1") == ROW_389
+
+    # a build without the built-in module falls back to hashlib, with the same bytes
+    monkeypatch.setattr(data, "_builtin_sha256", None)
+    assert row_to_line(ROW_389) == line
+    assert row_from_line(line) == ROW_389
 
 
 def test_checksum_catches_single_field_edit():

@@ -31,6 +31,10 @@ def test_the_rule_sees_both_forms():
     assert list(_assertions(tree)) == [1, 2, 3]
 
 
+# the built-in SHA-256 module is _sha256 up to 3.11 and _sha2 from 3.12; each interpreter lists only its own
+_SHA256_RENAME = {"_sha256", "_sha2"}
+
+
 def _non_stdlib_imports(tree: ast.AST):
     # every absolute import, function bodies included; relative ones name the package itself
     for node in ast.walk(tree):
@@ -40,7 +44,7 @@ def _non_stdlib_imports(tree: ast.AST):
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] not in sys.stdlib_module_names for name in names):
+        if any(name.split(".")[0] not in sys.stdlib_module_names | _SHA256_RENAME for name in names):
             yield node.lineno
 
 
@@ -56,11 +60,12 @@ def test_the_stdlib_rule_sees_every_form():
         "def f():\n    import requests\nfrom . import data\nfrom .numpy import x\n"
         "from urllib.request import urlopen\nimport http.client\nfrom __future__ import annotations\n"
         "class C:\n    def g(self):\n        from watkins import arith\n"
+        "from _sha2 import sha256\nfrom _sha256 import sha256\nimport _sha3000\n"
     )
-    assert list(_non_stdlib_imports(tree)) == [1, 2, 3, 4, 6, 14]
+    assert sorted(_non_stdlib_imports(tree)) == [1, 2, 3, 4, 6, 14, 17]
 
 
-_COLD_IMPORTS = ("dataclasses", "fractions", "csv")
+_COLD_IMPORTS = ("dataclasses", "fractions", "csv", "hashlib")
 
 
 def _load_time_imports(node: ast.AST, banned=_COLD_IMPORTS):
