@@ -4,7 +4,8 @@
 and whether k is squarefree, for every k up to the bound (at most 10^7).
 
 Factoring is trial division to TRIAL_LIMIT, then Brent's rho under an
-explicit budget of steps, each charged by the length of the number.
+explicit budget of steps, each charged by the length of the number, on
+a cofactor of at most COFACTOR_BITS bits.
 Primality is Miller-Rabin over the shortest prefix of 13 bases that is
 proven for n, and a seeded probabilistic fallback past the last proven
 bound; results carry a ``proven`` flag so downstream certificates can
@@ -27,6 +28,9 @@ from typing import Iterator, NamedTuple
 from .errors import BudgetExceeded, FactoringBudgetExceeded, InvariantViolation, ZeroInput
 
 TRIAL_LIMIT = 10**6
+# the longest cofactor past trial division that factorize takes on: 37 Miller-Rabin rounds
+# (a probable prime) take about 1 s at 2048 bits, and one round 6 s at 13,000
+COFACTOR_BITS = 2048
 # Brent rho step units per composite before FactoringBudgetExceeded, read on each call; ~2 s on 40 digits
 RHO_STEPS = 1 << 22
 
@@ -193,13 +197,14 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _perfect_power(n: int) -> tuple[int, int] | None:
-    # Returns (base, k) with base**k == n, k >= 2, or None.
-    for k in range(2, n.bit_length() + 1):
+    # (base, k) with base**k == n and k prime, or None, for n with no prime below TRIAL_LIMIT:
+    # its base is at least TRIAL_LIMIT, so a smaller root ends the search
+    for k in _PRIMES:
         r = _iroot(n, k)
+        if r < TRIAL_LIMIT:
+            return None
         if r**k == n:
             return r, k
-        if r < 2:
-            return None
     return None
 
 
@@ -210,12 +215,14 @@ def _brent_rho(n: int, steps: int) -> int:
     agree.  Every polynomial step, under any constant and in the backtrack,
     counts against ``steps`` (a round is charged before it runs), and
     FactoringBudgetExceeded is raised once they are spent; a step on n of
-    b bits costs max(1, b // 128), as its time grows with b.  A prime
-    factor q takes about sqrt(q) steps, so primes to about 10^12 split.
+    b bits costs max(1, b // 128, b^2 // 2^17), as its time grows with b,
+    and past 1024 bits with b^2.  A prime factor q takes about sqrt(q)
+    steps, so primes to about 10^12 split.
     """
     if n % 2 == 0:
         return 2
-    charge = max(1, n.bit_length() // 128)
+    bits = n.bit_length()
+    charge = max(1, bits // 128, bits * bits >> 17)
     spent = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
@@ -300,7 +307,8 @@ def factorize(n: int) -> Factorization:
     Trial division by primes below TRIAL_LIMIT, then perfect-power
     peeling and Brent rho on what is left.  RHO_STEPS bounds the rho
     steps per composite; FactoringBudgetExceeded propagates when the
-    budget runs out.
+    budget runs out, and refuses a cofactor of more than COFACTOR_BITS
+    bits before any of that.
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")
@@ -312,6 +320,8 @@ def factorize(n: int) -> Factorization:
         if m < TRIAL_LIMIT * TRIAL_LIMIT:
             # below the trial wall squared the cofactor must be prime
             found[m] = 1
+        elif m.bit_length() > COFACTOR_BITS:
+            raise FactoringBudgetExceeded(f"trial division leaves {m.bit_length()} bits, past {COFACTOR_BITS}")
         else:
             proven = _factor_large(m, found)
     factors = tuple(sorted(found.items()))

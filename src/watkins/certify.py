@@ -63,9 +63,9 @@ def local_v2_contribution(p: int, ap: int) -> int:
     return v2(p - 1) + v2(p + 1 - ap) + v2(p + 1 + ap)
 
 
-def moddeg_v2_lower_exact(v2_moddeg: int, pairs) -> int:
-    """v2(m/c^2) - 4 + sum of the local contributions."""
-    return v2_moddeg - 4 + sum(local_v2_contribution(p, ap) for p, ap in pairs)
+def moddeg_v2_lower_exact(v2_moddeg: int, prime_set) -> int:
+    """v2(m/c^2) - 4 + the sum of the c_p of the (p, a_p, c_p) triples."""
+    return v2_moddeg - 4 + sum(c for _, _, c in prime_set)
 
 
 def moddeg_v2_lower_torsion(omega_d: int, v2_moddeg: int, omega_n: int, torsion_rank: int) -> int:
@@ -286,8 +286,9 @@ def verify_twist(
         if not twist_cond.proven:
             assumptions.append("probabilistic_prime")
 
-        pairs = [(p, ctx.ap(p)) for p in twist_prime_set(d_fact, curve.conductor)]
-        lower_exact = moddeg_v2_lower_exact(v2m, pairs)
+        aps = ((p, ctx.ap(p)) for p in twist_prime_set(d_fact, curve.conductor))
+        prime_set = tuple((p, ap, local_v2_contribution(p, ap)) for p, ap in aps)
+        lower_exact = moddeg_v2_lower_exact(v2m, prime_set)
         lower_torsion = moddeg_v2_lower_torsion(
             d_fact.omega, v2m, curve.conductor.omega, curve.two_torsion_rank
         )
@@ -299,7 +300,7 @@ def verify_twist(
             d=d,
             verdict=CERTIFIED if certified else INCONCLUSIVE,
             twist_conductor=twist_cond,
-            prime_set=tuple((p, ap, local_v2_contribution(p, ap)) for p, ap in pairs),
+            prime_set=prime_set,
             lower_bound_exact=lower_exact,
             lower_bound_torsion=lower_torsion,
             rank_upper_exact=upper_exact,

@@ -12,7 +12,8 @@ scaling unit's, and then those of the minimal discriminant.
 
 from __future__ import annotations
 
-import random
+from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple
 
@@ -495,6 +496,7 @@ def _integer_roots(b: int, c: int, d: int) -> Iterator[int]:
             yield hi
 
 
+@lru_cache(maxsize=32)
 def two_torsion_rank(m: WeierstrassModel) -> int:
     """F_2-rank of E(Q)[2]: 0, 1, or 2.
 
@@ -590,14 +592,14 @@ def _sqrt_mod(n: int, p: int) -> int:
     return R
 
 
-def _random_point(a: int, b: int, p: int, rng: random.Random):
-    while True:
-        x = rng.randrange(p)
+def _points(a: int, b: int, p: int) -> Iterator[tuple[int, int]]:
+    """Points of y^2 = x^3 + ax + b over F_p, one for each x = 0, 1, 2, ... on the curve."""
+    for x in range(p):
         rhs = (x * x * x + a * x + b) % p
         if rhs == 0:
-            return (x, 0)
-        if pow(rhs, (p - 1) // 2, p) == 1:
-            return (x, _sqrt_mod(rhs, p))
+            yield (x, 0)
+        elif pow(rhs, (p - 1) // 2, p) == 1:
+            yield (x, _sqrt_mod(rhs, p))
 
 
 def _bsgs_annihilators(P, lo: int, hi: int, a: int, p: int) -> list[int]:
@@ -609,30 +611,36 @@ def _bsgs_annihilators(P, lo: int, hi: int, a: int, p: int) -> list[int]:
     """
     m = isqrt((hi - lo + 1) // 2) + 1
     x1, y1 = P
-    baby, ys = {}, [None]  # x(jP) -> j, and ys[j] = y(jP)
+    baby, pts = {}, [None]  # x(jP) -> j, and pts[j] = jP
     x, y, small = x1, y1, None  # small: a multiple of P's order, once one shows
     for j in range(1, m + 1):
         i = baby.get(x)
         if i is not None or y == 0:  # jP = +-iP, or jP = -jP
-            small = 2 * j if i is None else j - i if y == ys[i] else j + i
+            small = 2 * j if i is None else j - i if y == pts[i][1] else j + i
             break
         baby[x] = j
-        ys.append(y)
+        pts.append((x, y))
         # (j+1)P; jP = +-P only at j = 1, as x(P) is taken
         lam = ((3 * x * x + a) * pow(2 * y, -1, p) if j == 1 else (y - y1) * pow(x - x1, -1, p)) % p
         x3 = (lam * lam - x - x1) % p
         x, y = x3, (lam * (x - x3) - y) % p
-    if small is None and x != (xm := next(reversed(baby))):
+    if small is None and x != (xm := pts[m][0]):
         # S = mP + (m+1)P = (2m+1)P, and the giant point (cx, cy) = cP for c = lo + m, ...
-        lam = (y - ys[m]) * pow(x - xm, -1, p) % p
+        lam = (y - pts[m][1]) * pow(x - xm, -1, p) % p
         sx = (lam * lam - xm - x) % p
-        sy = (lam * (xm - sx) - ys[m]) % p
-        cx, cy = _ec_scale(lo + m, P, a, p) or (None, None)
+        sy = (lam * (xm - sx) - pts[m][1]) % p
+        # ... which starts as qS + (r - m)P, with (r - m)P = +-|r - m|P from the baby steps
+        q, r = divmod(lo + 2 * m, 2 * m + 1)
+        start = _ec_scale(q, (sx, sy), a, p)
+        if r != m:
+            rx, ry = pts[abs(r - m)]
+            start = _ec_add(start, (rx, ry if r > m else -ry % p), a, p)
+        cx, cy = start or (None, None)
         out = []
         for c in range(lo + m, hi + m + 1, 2 * m + 1):
             j = 0 if cx is None else baby.get(cx)
             if j is not None:  # cP = O, or +-jP
-                n = c - j if j and cy == ys[j] else c + j
+                n = c - j if j and cy == pts[j][1] else c + j
                 if lo <= n <= hi:
                     out.append(n)
             if cx is None or cx == sx:  # cP is O or +-S
@@ -657,14 +665,20 @@ def _exact_order(P, n: int, a: int, p: int) -> int:
     return e
 
 
-ORDER_POINTS = 12  # random points per curve before the group order counts as ambiguous
+ORDER_POINTS = 12  # points per curve before the group order counts as ambiguous
 
 
-def _order_from_points(a: int, b: int, p: int, rng: random.Random):
+def _order_from_points(a: int, b: int, p: int, h: int):
+    """The order of y^2 = x^3 + ax + b over F_p, a multiple of h, or None if ORDER_POINTS points leave it open.
+
+    A point P leaves the n = hk in the Hasse window with kQ = O for Q = hP, and every n when Q = O."""
     lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
     left = None  # the n in the window that kill every point so far
-    for _ in range(ORDER_POINTS):
-        ns = _bsgs_annihilators(_random_point(a, b, p, rng), lo, hi, a, p)
+    for P in islice(_points(a, b, p), ORDER_POINTS):
+        Q = _ec_scale(h, P, a, p)
+        if Q is None:
+            continue
+        ns = [h * k for k in _bsgs_annihilators(Q, -(-lo // h), hi // h, a, p)]
         left = set(ns) if left is None else left.intersection(ns)
         if len(left) == 1:
             return left.pop()  # the group order is in the window and kills every point
@@ -673,18 +687,17 @@ def _order_from_points(a: int, b: int, p: int, rng: random.Random):
     return None  # group exponent too small to pin the order down
 
 
-def _curve_order(a: int, b: int, p: int) -> int:
-    rng = random.Random(f"ec:{p}:{a}:{b}")
-    N = _order_from_points(a, b, p, rng)
+def _curve_order(a: int, b: int, p: int, h: int) -> int:
+    N = _order_from_points(a, b, p, h)
     if N is not None:
         return N
-    # the quadratic twist has complementary order 2p + 2 - N
+    # the quadratic twist has complementary order 2p + 2 - N, and as many points of order 2
     c = 2
     while pow(c, (p - 1) // 2, p) != p - 1:
         c += 1
     at = a * c * c % p
     bt = b * pow(c, 3, p) % p
-    Nt = _order_from_points(at, bt, p, rng)
+    Nt = _order_from_points(at, bt, p, h)
     if Nt is not None:
         return 2 * p + 2 - Nt
     raise BudgetExceeded(f"group order mod {p} still ambiguous after {ORDER_POINTS} points per curve")
@@ -698,13 +711,15 @@ def a_p(m: WeierstrassModel, p: int) -> int:
     """Trace of Frobenius at a prime of good reduction.
 
     Direct point counts up to AP_NAIVE_LIMIT, baby-step/giant-step group
-    order above that, BudgetExceeded past AP_BSGS_LIMIT.  Counting costs
-    O(p) and BSGS O(p^1/4) group operations; measured, they break even
-    between p = 450 and 800.  AP_NAIVE_LIMIT must stay above 229: above it
-    (Mestre) the curve or its twist has a point whose order has one
-    multiple in the Hasse window, while below it BSGS can raise
-    BudgetExceeded.  The model is expected to be minimal; good
-    reduction is checked against its discriminant.
+    order above that, BudgetExceeded past AP_BSGS_LIMIT.  BSGS searches the
+    multiples of h, a divisor of #E(F_p)[2], so it costs O((p/h^2)^1/4)
+    group operations to counting's O(p); measured on 17a1, 32a1 and 49a1
+    (h = 2 or 4), they break even below p = 300.  AP_NAIVE_LIMIT must stay
+    above 229: above it (Mestre) the curve or its twist has a point P of
+    order above 4 sqrt(p), so hP has order above 4 sqrt(p)/h, the width of
+    the window n/h runs over, and one multiple of h in the Hasse window
+    kills P; below it BSGS can raise BudgetExceeded.  The model is expected
+    to be minimal; good reduction is checked against its discriminant.
     """
     ok, _ = _is_prime(p)
     if not ok:
@@ -723,7 +738,10 @@ def a_p(m: WeierstrassModel, p: int) -> int:
     if p <= AP_BSGS_LIMIT:
         a = -27 * m.c4 % p
         b = -54 * m.c6 % p
-        ap = p + 1 - _curve_order(a, b, p)
+        # the cubic's discriminant is disc times a square, and it has one root mod p exactly when that is no square
+        square = pow(m.disc, (p - 1) // 2, p) == 1
+        h = (4 if square else 2) if two_torsion_rank(m) else (1 if square else 2)
+        ap = p + 1 - _curve_order(a, b, p, h)
         if ap * ap > 4 * p:
             raise InvariantViolation(f"the group order mod {p} breaks the Hasse bound")
         return ap

@@ -121,7 +121,7 @@ def test_local_contributions():
     assert local_v2_contribution(5, -2) == 7
     assert local_v2_contribution(3, 0) == 5
     assert local_v2_contribution(7, 1) == 1
-    assert moddeg_v2_lower_exact(3, [(5, -2)]) == 6
+    assert moddeg_v2_lower_exact(3, [(5, -2, local_v2_contribution(5, -2))]) == 6
     with pytest.raises(HasseViolation):
         local_v2_contribution(5, 5)
 

@@ -69,13 +69,13 @@ def test_local_contribution_at_least_three_for_even_trace():
 
 def test_petersson_lower_frozen():
     # the sum of the local contributions minus one is the exact lower bound at v2(m/c^2) = 3
-    assert moddeg_v2_lower_exact(3, [(5, -2)]) == 6
-    assert moddeg_v2_lower_exact(3, [(5, -2), (3, 0)]) == 11
+    assert moddeg_v2_lower_exact(3, [(5, -2, 7)]) == 6
+    assert moddeg_v2_lower_exact(3, [(5, -2, 7), (3, 0, 5)]) == 11
     assert moddeg_v2_lower_exact(3, []) == -1
 
 
 def test_moddeg_lower_bounds():
-    assert moddeg_v2_lower_exact(0, [(5, -2)]) == 3
+    assert moddeg_v2_lower_exact(0, [(5, -2, 7)]) == 3
     assert moddeg_v2_lower_exact(1, []) == -3
     assert moddeg_v2_lower_torsion(4, 0, 1, 1) == 4 * 3 + 0 - 7 - 3
     with pytest.raises(NoTwoTorsion):

@@ -104,6 +104,22 @@ def test_a_d_of_300_digits_exits_two_within_seconds(capsys, monkeypatch):
     assert err.endswith(f"after {arith.RHO_STEPS // 6} steps\n")
 
 
+@pytest.mark.parametrize("zeros", [3999, 9999])
+def test_a_d_past_the_cofactor_cap_exits_two_within_seconds(capsys, zeros):
+    # 10^4000 + 1 and 10^10000 + 1 leave over 13,000 bits past trial division, so factorize refuses
+    # them before Miller-Rabin, one round of which takes seconds at that size
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # --d takes every digit, as with PYTHONINTMAXSTRDIGITS=0
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--label", "17a1", "--offline", "--d", "1" + "0" * zeros + "1")
+        assert time.perf_counter() - start < 5
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err.startswith("error: trial division leaves") and err.endswith(f"past {arith.COFACTOR_BITS}\n")
+
+
 def test_a_curve_with_a_large_two_division_constant_verifies_within_seconds(capsys):
     # rational 2-torsion is found without factoring 16 b6, whose cofactor past trial division has 41 digits
     curve = "0,1,0,-10737685738349923859307006813537,-5470259820718050594910720652148511698490129377"

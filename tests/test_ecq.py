@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import count, islice
 from math import isqrt, lcm
 
 import pytest
@@ -555,9 +556,12 @@ def _two_torsion_models(records):
 
 
 def test_bsgs_matches_point_count_on_every_prime_to_10k(records, monkeypatch):
+    # every fixture, so h = 1, 2 and 4 all run: with no rational 2-torsion h is 1 or 2
     monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", 3)
     primes = [p for p in small_primes() if 230 <= p < 10**4]
-    for label, m in _two_torsion_models(records):
+    assert {rec.two_torsion_rank for rec in records.values()} == {0, 1, 2}
+    for label, rec in sorted(records.items()):
+        m = rec.minimal_model
         for p in primes:
             if m.disc % p:
                 assert a_p(m, p) == ecq._ap_naive(m, p), (label, p)
@@ -602,17 +606,33 @@ def test_default_limit_counts_points_up_to_the_mestre_floor(records, monkeypatch
                 assert a_p(m, p) == ecq._ap_naive(m, p), (rec.label, p)
 
 
-def _order_by_exact_orders(a, b, p, rng, tries):
-    # the path the one-annihilator shortcut skips: the lcm of exact point orders
+def _order_by_exact_orders(a, b, p, h, tries):
+    # the path the one-annihilator shortcut skips: the lcm of h and the exact orders of the x-walk's points
     lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
-    L = 1
-    for _ in range(tries):
-        P = ecq._random_point(a, b, p, rng)
+    L = h
+    for P in islice(ecq._points(a, b, p), tries):
         L = lcm(L, ecq._exact_order(P, ecq._bsgs_annihilators(P, lo, hi, a, p)[0], a, p))
         k0 = -(-lo // L) * L
         if k0 + L > hi:
             return k0
     return None
+
+
+def _random_point(a, b, p, rng):
+    # a point of y^2 = x^3 + ax + b over a uniformly drawn x
+    while True:
+        x = rng.randrange(p)
+        rhs = (x * x * x + a * x + b) % p
+        if rhs == 0:
+            return (x, 0)
+        if pow(rhs, (p - 1) // 2, p) == 1:
+            return (x, ecq._sqrt_mod(rhs, p))
+
+
+def _euler_count(a, b, p):
+    # Euler's criterion gives each x's 0, 1 or 2 points; the 1 is the point at infinity
+    euler = (pow(x**3 + a * x + b, (p - 1) // 2, p) for x in range(p))
+    return 1 + sum(1 + (1 if c == 1 else -1 if c else 0) for c in euler)
 
 
 def _annihilators_by_walk(P, lo, hi, a, p):
@@ -636,16 +656,15 @@ def test_one_annihilator_shortcut_matches_exact_order_path():
         if (4 * a**3 + 27 * b * b) % p == 0:
             continue
         lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
-        for P in (ecq._random_point(a, b, p, rng), (r, 0)):
+        for P in (_random_point(a, b, p, rng), (r, 0)):
             ns = ecq._bsgs_annihilators(P, lo, hi, a, p)
             assert ns == _annihilators_by_walk(P, lo, hi, a, p), (a, b, p, P)
-        seed = rng.random()
-        got = ecq._order_from_points(a, b, p, random.Random(seed))
-        assert got == _order_by_exact_orders(a, b, p, random.Random(seed), ecq.ORDER_POINTS), (a, b, p)
-        # Euler's criterion gives each x's 0, 1 or 2 points; the 1 is the point at infinity
-        euler = (pow(x**3 + a * x + b, (p - 1) // 2, p) for x in range(p))
-        count = 1 + sum(1 + (1 if c == 1 else -1 if c else 0) for c in euler)
-        assert ecq._curve_order(a, b, p) == count, (a, b, p)
+        # x^3 + ax + b = (x - r)(x^2 + rx + a + r^2) has three roots when -3r^2 - 4a is a square
+        two_torsion = 4 if pow(-3 * r * r - 4 * a, (p - 1) // 2, p) == 1 else 2
+        for h in (1, 2, two_torsion):
+            got = ecq._order_from_points(a, b, p, h)
+            assert got == _order_by_exact_orders(a, b, p, h, ecq.ORDER_POINTS), (a, b, p, h)
+            assert ecq._curve_order(a, b, p, h) == _euler_count(a, b, p), (a, b, p, h)
 
 
 def _random_two_torsion_curve(rng, p):
@@ -666,8 +685,8 @@ def test_bsgs_annihilators_match_an_addition_walk():
         a, b, r = _random_two_torsion_curve(rng, p)
         lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
         m = isqrt((hi - lo + 1) // 2) + 1
-        order = ecq._curve_order(a, b, p)
-        P = ecq._random_point(a, b, p, rng)
+        order = ecq._curve_order(a, b, p, 2)
+        P = _random_point(a, b, p, rng)
         # (order/k)*P has order dividing k: small orders, and 2m + 1, the baby steps' reach
         points = [] if seen["random"] >= 30 else [("random", P), ("order 2", (r, 0))]
         for k in (3, 4, 5, 6, 7, 9, 2 * m + 1):
@@ -686,11 +705,85 @@ def test_jacobian_multiply_matches_repeated_addition():
     for p in (5, 7, 13, 101, 233):
         for _ in range(4):
             a, b, r = _random_two_torsion_curve(rng, p)
-            for P in (ecq._random_point(a, b, p, rng), (r, 0)):
+            for P in (_random_point(a, b, p, rng), (r, 0)):
                 R = None
                 for k in range(3 * p + 1):  # past the group order, so its multiples too
                     assert ecq._ec_scale(k, P, a, p) == R, (a, b, p, P, k)
                     R = ecq._ec_add(R, P, a, p)
+
+
+def test_two_torsion_divisor_matches_a_root_count(monkeypatch):
+    # h from one Legendre symbol of the discriminant, against the roots of the cubic BSGS runs on
+    calls, curve_order = [], ecq._curve_order
+    monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", 3)
+    monkeypatch.setattr(ecq, "_curve_order", lambda a, b, p, h: calls.append((a, b, h)) or curve_order(a, b, p, h))
+    rng = random.Random(21)
+    primes = [p for p in small_primes() if 230 <= p < 20000]
+    seen = set()
+    for i in range(160):
+        # odd i: through (r, 0), so with a rational root; even i: random, almost never with one
+        A, r = rng.randint(-(10**4), 10**4), rng.randint(-100, 100)
+        B = -(r**3 + A * r) if i % 2 else rng.randint(-(10**6), 10**6)
+        p = rng.choice(primes)
+        try:
+            m = WeierstrassModel(0, 0, 0, A, B)
+        except SingularModel:
+            continue
+        if m.disc % p == 0:
+            continue
+        assert a_p(m, p) == ecq._ap_naive(m, p), (A, B, p)
+        a, b, h = calls[-1]
+        roots = sum(1 for x in range(p) if (x * x * x + a * x + b) % p == 0)
+        torsion = two_torsion_rank(m) > 0
+        assert h == (1 + roots if torsion else 2 if roots == 1 else 1), (A, B, p)
+        seen.add((torsion, roots))
+    assert seen == {(True, 1), (True, 3), (False, 0), (False, 1), (False, 3)}
+
+
+def test_stride_matches_the_stride_one_path_near_1e7_and_1e8(records):
+    # the order search before the stride: seeded random points, each over the whole Hasse window
+    def stride_one_order(a, b, p):
+        rng = random.Random(f"ec:{p}:{a}:{b}")
+        lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+        c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+        for ca, cb, sign in ((a, b, 1), (a * c * c % p, b * c**3 % p, -1)):
+            left = None
+            for _ in range(ecq.ORDER_POINTS):
+                ns = ecq._bsgs_annihilators(_random_point(ca, cb, p, rng), lo, hi, ca, p)
+                left = set(ns) if left is None else left.intersection(ns)
+                if len(left) == 1:
+                    n = left.pop()
+                    return n if sign == 1 else 2 * p + 2 - n
+        raise AssertionError(f"the stride-1 path gave up at {p}")
+
+    rng = random.Random(1008)
+    models = sorted(records.items())
+    for top in (10**7, 10**8):
+        primes = 0
+        while primes < 24:
+            p = rng.randrange(top - top // 100, top + 1)
+            label, rec = models[primes % len(models)]
+            m = rec.minimal_model
+            if not arith._is_prime(p)[0] or m.disc % p == 0:
+                continue
+            want = p + 1 - stride_one_order(-27 * m.c4 % p, -54 * m.c6 % p, p)
+            assert a_p(m, p) == want, (label, p)
+            primes += 1
+
+
+def test_a_point_killed_by_h_is_skipped_but_counted(monkeypatch):
+    # y^2 = x^3 + 5x: the x-walk starts at (0, 0), of order 2, so hP = O for h = 2 or 4
+    a, b, p = 5, 0, 10007
+    first, second = islice(ecq._points(a, b, p), 2)
+    assert first == (0, 0)
+    h = 4 if pow(-4 * a, (p - 1) // 2, p) == 1 else 2
+    searched, bsgs = [], ecq._bsgs_annihilators
+    monkeypatch.setattr(ecq, "_bsgs_annihilators", lambda Q, *rest: searched.append(Q) or bsgs(Q, *rest))
+    assert ecq._order_from_points(a, b, p, h) == _euler_count(a, b, p)
+    assert searched[0] == ecq._ec_scale(h, second, a, p)
+    searched.clear()
+    monkeypatch.setattr(ecq, "ORDER_POINTS", 1)
+    assert ecq._order_from_points(a, b, p, h) is None and searched == []
 
 
 def test_ap_hasse_bound(records):
