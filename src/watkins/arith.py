@@ -31,7 +31,7 @@ TRIAL_LIMIT = 10**6
 # the longest cofactor past trial division that factorize takes on: 37 Miller-Rabin rounds
 # (a probable prime) take about 1 s at 2048 bits, and one round 6 s at 13,000
 COFACTOR_BITS = 2048
-# Brent rho step units per composite before FactoringBudgetExceeded, read on each call; ~2 s on 40 digits
+# Brent rho step units per factorize call before FactoringBudgetExceeded, read on each call; ~2 s on 40 digits
 RHO_STEPS = 1 << 22
 
 # Miller-Rabin bases, and psi_k (OEIS A014233): the first k bases prove
@@ -208,8 +208,8 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _brent_rho(n: int, steps: int) -> int:
-    """One factor of composite n via Brent's cycle variant.
+def _brent_rho(n: int, steps: int) -> tuple[int, int]:
+    """One factor of composite n via Brent's cycle variant, and the steps left.
 
     Deterministic: the polynomial constant walks 1, 2, 3, ... so reruns
     agree.  Every polynomial step, under any constant and in the backtrack,
@@ -220,7 +220,7 @@ def _brent_rho(n: int, steps: int) -> int:
     steps, so primes to about 10^12 split.
     """
     if n % 2 == 0:
-        return 2
+        return 2, steps
     bits = n.bit_length()
     charge = max(1, bits // 128, bits * bits >> 17)
     spent = 0
@@ -251,7 +251,7 @@ def _brent_rho(n: int, steps: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if 1 < g < n:
-            return g
+            return g, max(steps - spent, 0)  # the backtrack may overdraw by up to 128 steps
 
 
 class _FactorizationFields(NamedTuple):
@@ -306,7 +306,7 @@ def factorize(n: int) -> Factorization:
 
     Trial division by primes below TRIAL_LIMIT, then perfect-power
     peeling and Brent rho on what is left.  RHO_STEPS bounds the rho
-    steps per composite; FactoringBudgetExceeded propagates when the
+    steps of the whole call; FactoringBudgetExceeded propagates when the
     budget runs out, and refuses a cofactor of more than COFACTOR_BITS
     bits before any of that.
     """
@@ -332,7 +332,7 @@ def _factor_large(m: int, found: dict) -> bool:
     """Split m (> TRIAL_LIMIT**2, no small factors) into found. Returns proven flag.
 
     A perfect power's base is split once, and its primes count k times."""
-    proven = True
+    proven, budget = True, RHO_STEPS
     stack = [(m, 1)]
     while stack:
         x, k = stack.pop()
@@ -346,7 +346,7 @@ def _factor_large(m: int, found: dict) -> bool:
             base, e = pp
             stack.append((base, k * e))
             continue
-        d = _brent_rho(x, RHO_STEPS)
+        d, budget = _brent_rho(x, budget)
         stack.append((d, k))
         stack.append((x // d, k))
     return proven

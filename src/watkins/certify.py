@@ -50,9 +50,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 INAPPLICABLE = "INAPPLICABLE"
 
 
-def twist_prime_set(d_fact: Factorization, n_fact: Factorization) -> tuple[int, ...]:
-    """P(D, N): odd primes dividing D and coprime to N, ascending."""
-    n_primes = set(n_fact.primes())
+def twist_prime_set(d_fact: Factorization, n_primes: frozenset[int] | set[int]) -> tuple[int, ...]:
+    """P(D, N): odd primes dividing D and not among N's primes n_primes, ascending."""
     return tuple(p for p in d_fact.primes() if p != 2 and p not in n_primes)
 
 
@@ -146,7 +145,6 @@ def _twist_minimal_model(curve: CurveRecord, d: int, d_primes=()) -> tuple[set[i
     return support, minimal_model(quadratic_twist(curve.minimal_model, d), support).model
 
 
-@lru_cache(maxsize=32)
 def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
     """Whether no twist supported on 2N has a strictly smaller conductor.
 
@@ -160,8 +158,6 @@ def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
     exponent among the 2-parts 1, -4, 8, -8 wins, then the smallest |t|,
     then the t that makes the witness positive.  That is omega_odd(N) + 3
     twisted conductors, each supported on 2N, so nothing is factored.
-    The answer is memoized per record, keyed on every field, so single
-    twists of one curve pay for the check once.
     """
     n = curve.conductor
 
@@ -179,34 +175,6 @@ def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
     two = min((t for t, e in at_two.items() if e == lowest), key=lambda t: (abs(t), t * odd < 0))
     d = odd * two
     return (True, None) if d == 1 else (False, d)
-
-
-AP_SHARED_LIMIT = 10**4
-
-
-@lru_cache(maxsize=32)
-def _shared_traces(model: WeierstrassModel) -> dict[int, int]:
-    return {}
-
-
-class CertifyContext:
-    """The a_p values of one base curve, shared across many of its twists.
-
-    a_p depends on the minimal model alone, so a_p at the 1,229 primes
-    below AP_SHARED_LIMIT goes to one store per model (32 models kept),
-    shared by every context and every single-twist call of the process.
-    """
-
-    def __init__(self, curve: CurveRecord):
-        self.curve = curve
-        self._shared = _shared_traces(curve.minimal_model)
-        self._ap: dict[int, int] = {}
-
-    def ap(self, p: int) -> int:
-        store = self._shared if p < AP_SHARED_LIMIT else self._ap
-        if p not in store:
-            store[p] = a_p(self.curve.minimal_model, p)
-        return store[p]
 
 
 class TwistCertificate(NamedTuple):
@@ -237,10 +205,50 @@ def _reason_from(err: WatkinsError) -> str:
     return _CAMEL.sub("_", type(err).__name__).lower()
 
 
-def _curve_name(curve: CurveRecord) -> str:
-    if curve.label:
-        return curve.label
-    return "[" + ",".join(str(a) for a in curve.minimal_model.ainvs()) + "]"
+AP_SHARED_LIMIT = 10**4
+
+
+@lru_cache(maxsize=32)
+def _curve_facts(curve: CurveRecord) -> tuple[str, tuple, frozenset[int], dict[int, tuple[int, int]]]:
+    """(name, gates, N's primes, the (a_p, c_p) store below AP_SHARED_LIMIT) of a record, settled
+    once for all its certificates (32 records kept).  gates[assume_manin] is the ThresholdReport,
+    or the reason of the first curve-only gate that refuses."""
+    try:
+        if curve.two_torsion_rank < 1:
+            raise NoTwoTorsion("curve has no rational 2-torsion")
+        minimal, witness = is_minimal_twist(curve)
+        if not minimal:
+            raise NotMinimalTwist(f"the twist by {witness} has a smaller conductor")
+        gates = []
+        for assume_manin in (False, True):
+            try:
+                gates.append(watkins_threshold(curve, assume_manin=assume_manin))
+            except MissingInvariant as err:
+                gates.append(_reason_from(err))
+    except WatkinsError as err:
+        gates = [_reason_from(err)] * 2
+    name = curve.label or "[" + ",".join(str(a) for a in curve.minimal_model.ainvs()) + "]"
+    return name, tuple(gates), frozenset(curve.conductor.primes()), {}
+
+
+class CertifyContext:
+    """The facts of one base curve, shared across many of its twists: ap(p) is (a_p, c_p).
+
+    They come from _curve_facts, once per record for every context and single-twist
+    call; (a_p, c_p) at a prime at or above AP_SHARED_LIMIT stays in its context.
+    """
+
+    def __init__(self, curve: CurveRecord):
+        self.curve = curve
+        self.name, self.gates, self.n_primes, self._shared = _curve_facts(curve)
+        self._ap: dict[int, tuple[int, int]] = {}
+
+    def ap(self, p: int) -> tuple[int, int]:
+        store = self._shared if p < AP_SHARED_LIMIT else self._ap
+        if p not in store:
+            ap = a_p(self.curve.minimal_model, p)
+            store[p] = ap, local_v2_contribution(p, ap)
+        return store[p]
 
 
 def verify_twist(
@@ -255,24 +263,18 @@ def verify_twist(
     Applicability gates, in order: the curve must have rational
     2-torsion, must be the minimal twist in its family, must have a
     known modular degree (and Manin constant, unless assume_manin),
-    and its conductor must divide the twisted conductor.  Budget or
-    data errors downgrade to INAPPLICABLE with a snake_case reason
-    rather than escaping.  d is factored once, before the gates: a d
-    that is not a fundamental discriminant raises ValueError, and a
-    factoring budget error on d propagates.
+    and its conductor must divide the twisted conductor.  The first three
+    come settled from the context, which must be one of curve.  Budget or
+    data errors downgrade to INAPPLICABLE with a snake_case reason rather
+    than escaping.  d is factored first: a d that is not a fundamental
+    discriminant raises ValueError, and a factoring budget error on d propagates.
     """
     d_fact = factor_fundamental(d)
     ctx = context or CertifyContext(curve)
-    name = _curve_name(curve)
+    threshold = ctx.gates[bool(assume_manin)]
+    if isinstance(threshold, str):
+        return TwistCertificate(curve=ctx.name, d=d, verdict=INAPPLICABLE, reason=threshold)
     try:
-        if curve.two_torsion_rank < 1:
-            raise NoTwoTorsion("curve has no rational 2-torsion")
-        minimal, witness = is_minimal_twist(curve)
-        if not minimal:
-            raise NotMinimalTwist(f"the twist by {witness} has a smaller conductor")
-        threshold = watkins_threshold(curve, assume_manin=assume_manin)
-        v2m, assumptions = threshold.v2_moddeg, list(threshold.assumptions)
-
         support, twist_min = _twist_minimal_model(curve, d, d_fact.primes())
         twist_cond = conductor_from_support(
             twist_min, support, proven=d_fact.proven and curve.min_disc.proven
@@ -283,11 +285,11 @@ def verify_twist(
         if not faltings_delta_v2(curve.minimal_model, twist_min):
             raise InvariantViolation("the twist pair breaks the height-comparison bound")
 
+        v2m, assumptions = threshold.v2_moddeg, threshold.assumptions
         if not twist_cond.proven:
-            assumptions.append("probabilistic_prime")
+            assumptions += ("probabilistic_prime",)
 
-        aps = ((p, ctx.ap(p)) for p in twist_prime_set(d_fact, curve.conductor))
-        prime_set = tuple((p, ap, local_v2_contribution(p, ap)) for p, ap in aps)
+        prime_set = tuple((p, *ctx.ap(p)) for p in twist_prime_set(d_fact, ctx.n_primes))
         lower_exact = moddeg_v2_lower_exact(v2m, prime_set)
         lower_torsion = moddeg_v2_lower_torsion(
             d_fact.omega, v2m, curve.conductor.omega, curve.two_torsion_rank
@@ -296,7 +298,7 @@ def verify_twist(
 
         certified = upper_exact <= lower_exact or d_fact.omega >= threshold.threshold
         return TwistCertificate(
-            curve=name,
+            curve=ctx.name,
             d=d,
             verdict=CERTIFIED if certified else INCONCLUSIVE,
             twist_conductor=twist_cond,
@@ -306,10 +308,10 @@ def verify_twist(
             rank_upper_exact=upper_exact,
             rank_upper_coarse=upper_coarse,
             threshold=threshold.threshold,
-            assumptions=tuple(assumptions),
+            assumptions=assumptions,
         )
     except WatkinsError as err:
-        return TwistCertificate(curve=name, d=d, verdict=INAPPLICABLE, reason=_reason_from(err))
+        return TwistCertificate(curve=ctx.name, d=d, verdict=INAPPLICABLE, reason=_reason_from(err))
 
 
 # ---------------------------------------------------------------------------

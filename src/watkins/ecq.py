@@ -703,7 +703,7 @@ def _curve_order(a: int, b: int, p: int, h: int) -> int:
     raise BudgetExceeded(f"group order mod {p} still ambiguous after {ORDER_POINTS} points per curve")
 
 
-AP_NAIVE_LIMIT = 500
+AP_NAIVE_LIMIT = 229
 AP_BSGS_LIMIT = 10**8
 
 
@@ -712,13 +712,11 @@ def a_p(m: WeierstrassModel, p: int) -> int:
 
     Direct point counts up to AP_NAIVE_LIMIT, baby-step/giant-step group
     order above that, BudgetExceeded past AP_BSGS_LIMIT.  BSGS searches the
-    multiples of h, a divisor of #E(F_p)[2], so it costs O((p/h^2)^1/4)
-    group operations to counting's O(p); measured on 17a1, 32a1 and 49a1
-    (h = 2 or 4), they break even below p = 300.  AP_NAIVE_LIMIT must stay
-    above 229: above it (Mestre) the curve or its twist has a point P of
-    order above 4 sqrt(p), so hP has order above 4 sqrt(p)/h, the width of
-    the window n/h runs over, and one multiple of h in the Hasse window
-    kills P; below it BSGS can raise BudgetExceeded.  The model is expected
+    multiples of h, a divisor of #E(F_p)[2].  AP_NAIVE_LIMIT is the Mestre
+    floor, 229: above it the curve or its twist has a point P of order
+    above 4 sqrt(p), so hP has order above 4 sqrt(p)/h, the width of the
+    window n/h runs over, and one multiple of h in the Hasse window kills
+    P; at or below it BSGS can raise BudgetExceeded.  The model is expected
     to be minimal; good reduction is checked against its discriminant.
     """
     ok, _ = _is_prime(p)

@@ -1,5 +1,6 @@
 """Bounds, thresholds, applicability gates, and certificates."""
 
+import contextlib
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import watkins.certify as certify
-from watkins import arith, ecq
+from watkins import arith, cli, ecq
 from watkins.arith import TRIAL_LIMIT, enumerate_fundamental_discriminants, factorize, is_fundamental_discriminant
 from watkins.certify import (
     CERT_FIELDS,
@@ -90,9 +91,9 @@ def test_rank_upper_bounds():
 
 
 def test_twist_prime_set():
-    assert twist_prime_set(factorize(-420), factorize(14)) == (3, 5)
-    assert twist_prime_set(factorize(-4), factorize(17)) == ()
-    assert twist_prime_set(factorize(85), factorize(17)) == (5,)
+    assert twist_prime_set(factorize(-420), {2, 7}) == (3, 5)
+    assert twist_prime_set(factorize(-4), {17}) == ()
+    assert twist_prime_set(factorize(85), {17}) == (5,)
 
 
 def test_bound_routes_cross_exactly_at_threshold():
@@ -318,7 +319,6 @@ def test_minimality_check_is_local_on_fourteen_primes():
     # y^2 = x(x - 15015)(x + 247095812): omega(N) = 14, so 4 * 2^13 - 1 twists by enumeration
     rec = build_curve_record((0, 247080797, 0, -3710143617180, 0))
     assert rec.conductor.omega == 14
-    certify.is_minimal_twist.cache_clear()
     start = time.perf_counter()
     assert is_minimal_twist(rec) == (True, None)
     assert time.perf_counter() - start < 0.5  # milliseconds for omega(N) + 3 twists
@@ -343,13 +343,12 @@ def test_minimality_check_factors_nothing_and_matches_full_conductors(records, m
 
     monkeypatch.setattr(arith, "factorize", refuse)
     monkeypatch.setattr(ecq, "factorize", refuse)
-    certify.is_minimal_twist.cache_clear()
     assert {label: is_minimal_twist(rec) for label, rec in curves.items()} == want
     assert [want[f"17a1^{d}"] for d in (5, -4, 8)] == [(False, 5), (False, -4), (False, 8)]
 
 
 def _counted_traces(monkeypatch) -> list[int]:
-    """The primes certify.a_p is called at from now on; the per-model store starts empty."""
+    """The primes certify.a_p is called at from now on; every per-record store starts empty."""
     calls = []
     real = certify.a_p
 
@@ -358,14 +357,14 @@ def _counted_traces(monkeypatch) -> list[int]:
         return real(m, p, **kw)
 
     monkeypatch.setattr(certify, "a_p", counting)
-    certify._shared_traces.cache_clear()
+    certify._curve_facts.cache_clear()
     return calls
 
 
 def test_context_caches_traces(records, monkeypatch):
     calls = _counted_traces(monkeypatch)
     ctx = CertifyContext(records["17a1"])
-    assert ctx.ap(5) == ctx.ap(5) == -2
+    assert ctx.ap(5) == ctx.ap(5) == (-2, 7)  # (a_p, c_p)
     assert calls == [5]
 
 
@@ -389,28 +388,29 @@ def test_single_twist_calls_share_traces_below_the_limit(records, monkeypatch):
     assert verify_twist(rec, 65) == verify_twist(rec, 65)  # 5 * 13
     assert verify_twist(rec, -50035) == verify_twist(rec, -50035)  # -5 * 10007
     assert calls == [5, 13, 10007, 10007]
-    # the store is keyed on the minimal model, so a record differing in another field shares it
+    # the store is keyed on the record, so a record differing in any field has its own
     other = rec._replace(moddeg=2)
     assert verify_twist(other, 65).lower_bound_exact == verify_twist(rec, 65).lower_bound_exact + 1
-    assert calls == [5, 13, 10007, 10007]
-    assert CertifyContext(other)._shared is CertifyContext(rec)._shared
+    assert calls == [5, 13, 10007, 10007, 5, 13]
+    assert CertifyContext(other)._shared is not CertifyContext(rec)._shared
+    assert CertifyContext(rec._replace())._shared is CertifyContext(rec)._shared
 
 
 def test_single_twist_store_stays_below_the_limit(records):
-    # 20,000 twists with |d| up to 10^7 leave at most the 1,229 primes below 10^4 per model
+    # 20,000 twists with |d| up to 10^7 leave at most the 1,229 primes below 10^4 per record
     rng = random.Random(20)
     curves = [records[label] for label in ("17a1", "32a1", "49a1")]
-    certify._shared_traces.cache_clear()
+    certify._curve_facts.cache_clear()
     for i in range(20000):
         d = 0
         while not is_fundamental_discriminant(d):
             d = rng.choice((-1, 1)) * rng.randint(10**6 + 1, 10**7)
         verify_twist(curves[i % 3], d)
     for rec in curves:
-        store = certify._shared_traces(rec.minimal_model)
+        store = CertifyContext(rec)._shared
         assert 0 < len(store) <= 1229
         assert all(p < certify.AP_SHARED_LIMIT for p in store)
-    assert certify._shared_traces.cache_info().currsize == 3
+    assert certify._curve_facts.cache_info().currsize == 3
 
 
 # --- verify_twist -------------------------------------------------------------------
@@ -521,7 +521,7 @@ def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypat
 
     monkeypatch.setattr(certify, "_twist_minimal_model", counting)
     rec = records["17a1"]._replace(label="17a1-counted")
-    certify.is_minimal_twist.cache_clear()
+    certify._curve_facts.cache_clear()
     for d in (5, -3, 13, -4, 1000033):
         verify_twist(rec, d)
     assert sorted(calls) == [-8, -4, 8, 17]  # p* for each odd p | N, then the 2-parts
@@ -530,6 +530,66 @@ def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypat
     assert len(calls) == 8
     verify_twist(rec._replace(), 5)
     assert len(calls) == 8
+
+
+def _gate_records(records) -> dict:
+    """Every fixture, and records that fail a later gate or lack the Manin constant."""
+    base = records["17a1"]
+    return {
+        **records,  # 11a1 has no 2-torsion, 15a8 no modular degree
+        "17a1^5": build_curve_record(quadratic_twist(base.minimal_model, 5).ainvs(), moddeg=1, manin=1),
+        "17a1-lied": base._replace(conductor=factorize(11)),
+        "17a1-manin-unknown": base._replace(manin=None),
+    }
+
+
+def _seeded_discriminants(seed: int, count: int) -> list[int]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.choice((-1, 1)) * rng.randint(2, rng.choice((500, 10**5, 10**7)))
+        if is_fundamental_discriminant(d):
+            out.append(d)
+    return out
+
+
+def test_certificates_agree_with_no_context_a_fresh_one_and_a_shared_one(records):
+    ds = _seeded_discriminants(22, 12)
+    assert any(p >= certify.AP_SHARED_LIMIT for d in ds for p in factorize(d).primes())
+    seen = set()
+    for label, rec in _gate_records(records).items():
+        for assume_manin in (False, True):
+            shared = CertifyContext(rec)
+            for d in ds:
+                certify._curve_facts.cache_clear()  # the single-twist call starts from nothing
+                cold = verify_twist(rec, d, assume_manin=assume_manin)
+                fresh = verify_twist(rec, d, assume_manin=assume_manin, context=CertifyContext(rec))
+                assert verify_twist(rec, d, assume_manin=assume_manin, context=shared) == fresh == cold, (label, d)
+                seen.add((cold.verdict_full, cold.assumptions))
+    verdicts = {verdict for verdict, _ in seen}
+    assert {"CERTIFIED", "INCONCLUSIVE"} < verdicts
+    for reason in ("no_two_torsion", "not_minimal_twist", "conductor_divisibility", "missing_invariant"):
+        assert f"INAPPLICABLE({reason})" in verdicts
+    assert any("manin_assumed_1" in assumptions for _, assumptions in seen)
+
+
+def test_curve_facts_are_computed_once_per_record_across_a_scan_and_single_twists(records, monkeypatch):
+    calls = {"is_minimal_twist": [], "a_p": [], "local_v2_contribution": []}
+    for name, log in calls.items():
+        real = getattr(certify, name)
+        monkeypatch.setattr(certify, name, lambda *args, _real=real, _log=log: _log.append(args) or _real(*args))
+    certify._curve_facts.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["scan", "--label", "17a1", "--offline", "--d-bound", "300"]) == 0
+    scanned = len(calls["a_p"])
+    for d in (65, -39, 221, -50035, -50035):  # primes the scan met, and 10007 twice
+        verify_twist(records["17a1"], d)
+        verify_twist(records["32a1"], d)
+    assert scanned and len(calls["is_minimal_twist"]) == 2  # 17a1 (the scan's record is equal), 32a1
+    small = [(m, p) for m, p in calls["a_p"] if p < certify.AP_SHARED_LIMIT]
+    assert len(small) == len(set(small)) == scanned + 4  # and 32a1 at 3, 5, 13, 17
+    assert [p for _, p in calls["a_p"] if p >= certify.AP_SHARED_LIMIT] == [10007] * 4  # kept per context
+    assert len(calls["local_v2_contribution"]) == len(calls["a_p"])
 
 
 def test_height_check_failure_is_inapplicable(records, monkeypatch):

@@ -98,10 +98,19 @@ def test_a_d_rho_cannot_split_exits_two_within_seconds(capsys, monkeypatch):
 
 
 def test_a_d_of_300_digits_exits_two_within_seconds(capsys, monkeypatch):
-    # a rho step on the 860-bit cofactor is charged 6 units, so the budget bounds time, not steps
+    # a rho step on the 860-bit composite is charged 6 units, so the budget bounds time, not steps;
+    # three splits before it leave 3,149,864 of the call's RHO_STEPS units, 524,977 steps
     code, err, n = _verify_until_rho_gives_up(capsys, monkeypatch, 10**300 + 1)
     assert code == 2 and n.bit_length() == 860
-    assert err.endswith(f"after {arith.RHO_STEPS // 6} steps\n")
+    assert err.endswith("after 524977 steps\n")
+
+
+def test_a_d_of_600_digits_exits_two_within_seconds(capsys, monkeypatch):
+    # rho splits the cofactor twice and then gives up on a 1945-bit composite at 28 units a step,
+    # with what is left of one budget for the whole factorization: 3,473,526 units, 124,054 steps
+    code, err, n = _verify_until_rho_gives_up(capsys, monkeypatch, 10**600 + 1)
+    assert code == 2 and n.bit_length() == 1945
+    assert err.endswith("after 124054 steps\n")
 
 
 @pytest.mark.parametrize("zeros", [3999, 9999])

@@ -582,7 +582,7 @@ def test_default_limit_counts_points_up_to_the_mestre_floor(records, monkeypatch
     # has one multiple in the Hasse window, and BSGS gives up
     small = [p for p in small_primes() if 2 < p <= 229]
     gave_up = 0
-    default_limit = ecq.AP_NAIVE_LIMIT
+    default_limit, curve_order = ecq.AP_NAIVE_LIMIT, ecq._curve_order
     monkeypatch.setattr(ecq, "AP_NAIVE_LIMIT", 3)
     for rec in records.values():
         m = rec.minimal_model
@@ -604,6 +604,18 @@ def test_default_limit_counts_points_up_to_the_mestre_floor(records, monkeypatch
         for p in small:
             if m.disc % p:
                 assert a_p(m, p) == ecq._ap_naive(m, p), (rec.label, p)
+
+    # and from the first prime above the floor the default runs BSGS
+    bsgs = []
+    monkeypatch.setattr(ecq, "_curve_order", lambda a, b, p, h: bsgs.append(p) or curve_order(a, b, p, h))
+    above = [p for p in small_primes() if 229 < p < 300]
+    assert above[0] == 233
+    for rec in records.values():
+        m = rec.minimal_model
+        for p in above:
+            if m.disc % p:
+                assert a_p(m, p) == ecq._ap_naive(m, p), (rec.label, p)
+                assert bsgs.pop() == p, (rec.label, p)
 
 
 def _order_by_exact_orders(a, b, p, h, tries):

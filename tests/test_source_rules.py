@@ -173,3 +173,38 @@ def test_the_factoring_rule_sees_bare_and_attribute_calls():
         "x = factorize(12)\nfactorize_later = 1\n"
     )
     assert list(_factoring_calls("ecq", tree)) == ["ecq.two_torsion_rank:4", "ecq.C:7", "ecq.<module>:8"]
+
+
+# what verify_twist may not compute per twist: each depends on the curve alone, and CertifyContext
+# reads it from certify._curve_facts once per record
+_PER_CURVE = ("is_minimal_twist", "watkins_threshold", "local_v2_contribution", "_curve_name", "_curve_facts")
+
+
+def _per_curve_calls(tree: ast.AST, function: str = "verify_twist"):
+    # calls of a per-curve function, bare or as an attribute, anywhere in the body of the named top-level function
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in _PER_CURVE:
+                        yield f"{name}:{node.lineno}"
+
+
+def test_verify_twist_does_only_per_twist_work():
+    certify = next(path for path in SOURCES if path.stem == "certify")
+    assert list(_per_curve_calls(ast.parse(certify.read_text()))) == []
+
+
+def test_the_per_curve_rule_sees_every_call_in_verify_twist_only():
+    tree = ast.parse(
+        "def verify_twist(curve, d):\n    is_minimal_twist(curve)\n"
+        "    if d:\n        return certify.watkins_threshold(curve)\n"
+        "    f = lambda p, a: local_v2_contribution(p, a)\n    return _curve_facts(curve)[0]\n"
+        "def other(curve):\n    return is_minimal_twist(curve)\n"
+        "class C:\n    def verify_twist(self):\n        return _curve_name(self)\n"
+    )
+    assert list(_per_curve_calls(tree)) == [
+        "is_minimal_twist:2", "watkins_threshold:4", "local_v2_contribution:5", "_curve_facts:6"
+    ]
