@@ -428,10 +428,11 @@ def enumerate_fundamental_discriminants(bound: int, *, min_omega: int = 0) -> It
     """Fundamental discriminants d with 1 < |d| <= bound and omega(d) >= min_omega.
 
     Ordered by |d| ascending, positive before negative at equal |d|.
-    d = 1 is never yielded.
+    d = 1 is never yielded.  The sieve runs on the call, so a bound past
+    its cap raises at once; the d are yielded one at a time.
     """
     if bound < 3:
-        return
+        return iter(())
     omega, squarefree = _omega_sieve(bound)
     # fund[a] = 1 iff a is odd and squarefree, or a = 4m or 8m with m odd and squarefree
     fund = bytearray(bound + 1)
@@ -440,10 +441,8 @@ def enumerate_fundamental_discriminants(bound: int, *, min_omega: int = 0) -> It
     fund[4::8] = odd[: len(range(4, bound + 1, 8))]
     fund[8::16] = odd[: len(range(8, bound + 1, 16))]
     fund[1] = 0  # d = 1 is not yielded, and -1 is not a discriminant
-    for a in compress(range(bound + 1), fund):
-        if omega[a] >= min_omega:
-            for sign in _SIGNS[a % 16]:
-                yield sign * a
+    rich = (a for a in compress(range(bound + 1), fund) if omega[a] >= min_omega)
+    return (sign * a for a in rich for sign in _SIGNS[a % 16])
 
 
 def count_omega_at_most(x: int, a: int) -> int:

@@ -13,7 +13,6 @@ scaling unit's, and then those of the minimal discriminant.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple
 
@@ -567,41 +566,6 @@ def _ec_scale(k: int, P, a: int, p: int):
     return (X * zi * zi % p, Y * zi * zi * zi % p)
 
 
-def _sqrt_mod(n: int, p: int) -> int:
-    """Tonelli-Shanks; n must be a QR mod odd prime p."""
-    n %= p
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    M, c, t, R = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (M - i - 1), p)
-        M, c, t, R = i, b * b % p, t * b * b % p, R * b % p
-    return R
-
-
-def _points(a: int, b: int, p: int) -> Iterator[tuple[int, int]]:
-    """Points of y^2 = x^3 + ax + b over F_p, one for each x = 0, 1, 2, ... on the curve."""
-    for x in range(p):
-        rhs = (x * x * x + a * x + b) % p
-        if rhs == 0:
-            yield (x, 0)
-        elif pow(rhs, (p - 1) // 2, p) == 1:
-            yield (x, _sqrt_mod(rhs, p))
-
-
 def _bsgs_annihilators(P, lo: int, hi: int, a: int, p: int) -> list[int]:
     """Every n in [lo, hi] with n*P = O, ascending.
 
@@ -665,42 +629,34 @@ def _exact_order(P, n: int, a: int, p: int) -> int:
     return e
 
 
-ORDER_POINTS = 12  # points per curve before the group order counts as ambiguous
-
-
-def _order_from_points(a: int, b: int, p: int, h: int):
-    """The order of y^2 = x^3 + ax + b over F_p, a multiple of h, or None if ORDER_POINTS points leave it open.
-
-    A point P leaves the n = hk in the Hasse window with kQ = O for Q = hP, and every n when Q = O."""
-    lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
-    left = None  # the n in the window that kill every point so far
-    for P in islice(_points(a, b, p), ORDER_POINTS):
-        Q = _ec_scale(h, P, a, p)
-        if Q is None:
-            continue
-        ns = [h * k for k in _bsgs_annihilators(Q, -(-lo // h), hi // h, a, p)]
-        left = set(ns) if left is None else left.intersection(ns)
-        if len(left) == 1:
-            return left.pop()  # the group order is in the window and kills every point
-        if not left:
-            raise InvariantViolation("no multiple of the exponent in the Hasse window")
-    return None  # group exponent too small to pin the order down
+ORDER_POINTS = 24  # points on the curve and its twist together before the group order counts as ambiguous
 
 
 def _curve_order(a: int, b: int, p: int, h: int) -> int:
-    N = _order_from_points(a, b, p, h)
-    if N is not None:
-        return N
-    # the quadratic twist has complementary order 2p + 2 - N, and as many points of order 2
-    c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    at = a * c * c % p
-    bt = b * pow(c, 3, p) % p
-    Nt = _order_from_points(at, bt, p, h)
-    if Nt is not None:
-        return 2 * p + 2 - Nt
-    raise BudgetExceeded(f"group order mod {p} still ambiguous after {ORDER_POINTS} points per curve")
+    """The order of E: y^2 = x^3 + ax + b over F_p, a multiple of h, from one walk over E and its twist.
+
+    For x = 0, 1, 2, ... let f = x^3 + ax + b.  f = 0 gives (x, 0) on E; otherwise (xf, f^2) lies on
+    Y^2 = X^3 + af^2 X + bf^3, which is E when f is a square and its quadratic twist when not.  The twist
+    has order 2p + 2 - #E and as many points of order 2, so a point P with Q = hP != O leaves the n = hk in
+    the Hasse window with kQ = O, and #E is n on E and 2p + 2 - n on the twist.
+    """
+    lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
+    left = None  # the orders of E that every point so far allows
+    for x in range(min(p, ORDER_POINTS)):
+        f = (x * x * x + a * x + b) % p
+        P, af = ((x, 0), a) if f == 0 else ((x * f % p, f * f % p), a * f * f % p)
+        Q = _ec_scale(h, P, af, p)
+        if Q is None:
+            continue
+        ks = _bsgs_annihilators(Q, -(-lo // h), hi // h, af, p)
+        twist = f and pow(f, (p - 1) // 2, p) != 1
+        ns = {2 * p + 2 - h * k if twist else h * k for k in ks}
+        left = ns if left is None else left & ns
+        if len(left) == 1:
+            return left.pop()
+        if not left:
+            raise InvariantViolation("no multiple of the exponent in the Hasse window")
+    raise BudgetExceeded(f"group order mod {p} still ambiguous after {ORDER_POINTS} points")
 
 
 AP_NAIVE_LIMIT = 229
@@ -710,15 +666,20 @@ AP_BSGS_LIMIT = 10**8
 def a_p(m: WeierstrassModel, p: int) -> int:
     """Trace of Frobenius at a prime of good reduction.
 
-    Direct point counts up to AP_NAIVE_LIMIT, baby-step/giant-step group
-    order above that, BudgetExceeded past AP_BSGS_LIMIT.  BSGS searches the
-    multiples of h, a divisor of #E(F_p)[2].  AP_NAIVE_LIMIT is the Mestre
-    floor, 229: above it the curve or its twist has a point P of order
-    above 4 sqrt(p), so hP has order above 4 sqrt(p)/h, the width of the
-    window n/h runs over, and one multiple of h in the Hasse window kills
-    P; at or below it BSGS can raise BudgetExceeded.  The model is expected
-    to be minimal; good reduction is checked against its discriminant.
+    BudgetExceeded past AP_BSGS_LIMIT, before any primality test; direct
+    point counts up to AP_NAIVE_LIMIT; above that, one baby-step/giant-step
+    walk over points of the curve and of its quadratic twist, each point
+    from an x and no square root.  BSGS searches the multiples of h, a
+    divisor of #E(F_p)[2], which the twist shares.  AP_NAIVE_LIMIT is the
+    Mestre floor, 229: above it the curve or its twist has a point P of
+    order above 4 sqrt(p), so hP has order above 4 sqrt(p)/h, the width of
+    the window n/h runs over, and one multiple of h in the Hasse window
+    kills P; at or below it BSGS can raise BudgetExceeded.  The model is
+    expected to be minimal; good reduction is checked against its
+    discriminant.
     """
+    if p > AP_BSGS_LIMIT:
+        raise BudgetExceeded(f"a_p at {p} exceeds the point-counting budget")
     ok, _ = _is_prime(p)
     if not ok:
         raise ValueError(f"{p} is not prime")
@@ -733,17 +694,15 @@ def a_p(m: WeierstrassModel, p: int) -> int:
         return 2 - count
     if p <= AP_NAIVE_LIMIT:
         return _ap_naive(m, p)
-    if p <= AP_BSGS_LIMIT:
-        a = -27 * m.c4 % p
-        b = -54 * m.c6 % p
-        # the cubic's discriminant is disc times a square, and it has one root mod p exactly when that is no square
-        square = pow(m.disc, (p - 1) // 2, p) == 1
-        h = (4 if square else 2) if two_torsion_rank(m) else (1 if square else 2)
-        ap = p + 1 - _curve_order(a, b, p, h)
-        if ap * ap > 4 * p:
-            raise InvariantViolation(f"the group order mod {p} breaks the Hasse bound")
-        return ap
-    raise BudgetExceeded(f"a_p at {p} exceeds the point-counting budget")
+    a = -27 * m.c4 % p
+    b = -54 * m.c6 % p
+    # the cubic's discriminant is disc times a square, and it has one root mod p exactly when that is no square
+    square = pow(m.disc, (p - 1) // 2, p) == 1
+    h = (4 if square else 2) if two_torsion_rank(m) else (1 if square else 2)
+    ap = p + 1 - _curve_order(a, b, p, h)
+    if ap * ap > 4 * p:
+        raise InvariantViolation(f"the group order mod {p} breaks the Hasse bound")
+    return ap
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared fixtures: the packaged curve catalog and an independent a_p oracle."""
+"""Shared fixtures: the packaged curve catalog and two independent a_p oracles."""
 
 from __future__ import annotations
 
@@ -65,3 +65,20 @@ def brute_ap(model, p: int) -> int:
     rhs = (xs * xs % p * xs + a2 * xs % p * xs + a4 * xs + a6) % p
     affine = int(np.count_nonzero(lhs == rhs[None, :]))
     return p - affine  # p + 1 - (affine + 1)
+
+
+def legendre_ap(model, p: int) -> int:
+    """Trace of Frobenius as minus the sum of the Legendre symbols of 4x^3 + b2 x^2 + 2b4 x + b6 over x mod p.
+
+    Vectorised: the symbol table comes from squaring every residue, so the
+    count is linear in p, and every prime below 10^4 takes milliseconds.
+    Checked against brute_ap for p <= 300.
+    """
+    assert 2 < p < 2**31, "products of residues must fit in int64"
+    xs = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[xs * xs % p] = 1
+    chi[0] = 0
+    b2, bb4, b6 = model.b2 % p, 2 * model.b4 % p, model.b6 % p
+    cubic = (((4 * xs + b2) % p * xs + bb4) % p * xs + b6) % p
+    return -int(chi[cubic].sum())

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import watkins
-from watkins import arith, ecq
+from watkins import arith, cli, ecq
 from watkins.certify import CERT_FIELDS
 from watkins.cli import main
 from watkins.errors import FactoringBudgetExceeded
@@ -127,6 +127,21 @@ def test_a_d_past_the_cofactor_cap_exits_two_within_seconds(capsys, zeros):
         sys.set_int_max_str_digits(limit)
     assert code == 2 and out == ""
     assert err.startswith("error: trial division leaves") and err.endswith(f"past {arith.COFACTOR_BITS}\n")
+
+
+@pytest.mark.parametrize("zeros", [3999, 9999])
+def test_ap_past_the_budget_exits_two_within_seconds(capsys, zeros):
+    # a_p refuses p past AP_BSGS_LIMIT before Miller-Rabin, one round of which takes seconds at this size
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # p takes every digit, as with PYTHONINTMAXSTRDIGITS=0
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ap", "--label", "17a1", "--offline", "1" + "0" * zeros + "1")
+        assert time.perf_counter() - start < 5
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err.startswith("error: a_p at 1000") and err.endswith("0001 exceeds the point-counting budget\n")
 
 
 def test_a_curve_with_a_large_two_division_constant_verifies_within_seconds(capsys):
@@ -382,6 +397,25 @@ def test_scan_json_rows_and_summary(capsys):
     assert verdicts.count("INAPPLICABLE") == int(summary["inapplicable"])
     ds = [int(r["d"]) for r in rows]
     assert ds == sorted(ds, key=lambda d: (abs(d), d < 0))
+
+
+def test_scan_writes_each_certificate_before_drawing_the_next_d(capsys, monkeypatch):
+    # the scan streams its discriminants: row k is written once k of them are drawn, and the summary last
+    _, want, _ = run(capsys, "scan", "--label", "17a1", "--offline", "--d-bound", "30", "--jobs", "1")
+    drawn, emitted = [], []
+    enumerate_, emit = cli.enumerate_fundamental_discriminants, cli._emit
+
+    def recording(bound, **kwargs):
+        for d in enumerate_(bound, **kwargs):
+            drawn.append(d)
+            yield d
+
+    monkeypatch.setattr(cli, "enumerate_fundamental_discriminants", recording)
+    monkeypatch.setattr(cli, "_emit", lambda obj, out: emitted.append(len(drawn)) or emit(obj, out))
+    code, out, _ = run(capsys, "scan", "--label", "17a1", "--offline", "--d-bound", "30", "--jobs", "1")
+    assert code == 0 and out == want
+    assert emitted == [*range(1, len(drawn) + 1), len(drawn)]
+    assert last_json(out)["summary"]["total"] == str(len(drawn))
 
 
 def test_scan_csv_sends_summary_to_stderr(capsys):

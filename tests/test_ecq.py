@@ -34,7 +34,7 @@ from watkins.errors import (
     SingularModel,
 )
 
-from conftest import brute_ap
+from conftest import brute_ap, legendre_ap
 
 # Reduction data at the interesting primes, checked against the
 # conductor exponents the catalog forces.
@@ -541,6 +541,16 @@ def test_point_count_against_brute_force_at_every_good_prime_to_500(records):
                 assert ecq._ap_naive(m, p) == brute_ap(m, p), (label, p)
 
 
+def test_the_legendre_oracle_matches_brute_force(records):
+    # the vectorised reference the BSGS tests to 10^4 compare against, on every fixture
+    primes = [p for p in small_primes() if 2 < p <= 300]
+    for label, rec in sorted(records.items()):
+        m = rec.minimal_model
+        for p in primes:
+            if m.disc % p:
+                assert legendre_ap(m, p) == brute_ap(m, p), (label, p)
+
+
 def test_ap_naive_and_bsgs_agree(records, monkeypatch):
     for label in ("11a1", "17a1", "37a1"):
         m = records[label].minimal_model
@@ -564,7 +574,7 @@ def test_bsgs_matches_point_count_on_every_prime_to_10k(records, monkeypatch):
         m = rec.minimal_model
         for p in primes:
             if m.disc % p:
-                assert a_p(m, p) == ecq._ap_naive(m, p), (label, p)
+                assert a_p(m, p) == legendre_ap(m, p), (label, p)
 
 
 def test_bsgs_matches_point_count_at_seeded_large_primes(records, monkeypatch):
@@ -618,16 +628,54 @@ def test_default_limit_counts_points_up_to_the_mestre_floor(records, monkeypatch
                 assert bsgs.pop() == p, (rec.label, p)
 
 
-def _order_by_exact_orders(a, b, p, h, tries):
-    # the path the one-annihilator shortcut skips: the lcm of h and the exact orders of the x-walk's points
+def _walked_points(a, b, p):
+    # the walk's points, x = 0, 1, 2, ...: (x, 0) on E where f = x^3 + ax + b vanishes, else (xf, f^2) on
+    # Y^2 = X^3 + af^2 X + bf^3, E when f is a square and its twist when not; yields (on the twist, point, af^2)
+    for x in range(p):
+        f = (x * x * x + a * x + b) % p
+        if f == 0:
+            yield False, (x, 0), a
+        else:
+            X, Y = x * f % p, f * f % p
+            if (Y * Y - X**3 - a * f * f * X - b * f**3) % p:
+                raise AssertionError(f"({X}, {Y}) is off its curve")
+            yield pow(f, (p - 1) // 2, p) != 1, (X, Y), a * f * f % p
+
+
+def _order_by_exact_orders(p, h, points):
+    # the path the one-annihilator shortcut skips: per curve, the lcm of h and the exact orders of its points;
+    # the order is the one n in the Hasse window with L_E | n and L_twist | 2p + 2 - n, once only one is left
     lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
-    L = h
-    for P in islice(ecq._points(a, b, p), tries):
-        L = lcm(L, ecq._exact_order(P, ecq._bsgs_annihilators(P, lo, hi, a, p)[0], a, p))
-        k0 = -(-lo // L) * L
-        if k0 + L > hi:
-            return k0
+    L = [h, h]  # E, its twist
+    for twist, P, af in points:
+        L[twist] = lcm(L[twist], ecq._exact_order(P, ecq._bsgs_annihilators(P, lo, hi, af, p)[0], af, p))
+        ns = [n for n in range(lo, hi + 1) if n % L[0] == 0 and (2 * p + 2 - n) % L[1] == 0]
+        if len(ns) == 1:
+            return ns[0]
     return None
+
+
+def _sqrt_mod(n, p):
+    # Tonelli-Shanks, the reference square root behind uniform points on a fixed curve; n is a square mod p
+    n %= p
+    if n == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next(z for z in count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+    M, c, t, R = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (M - i - 1), p)
+        M, c, t, R = i, b * b % p, t * b * b % p, R * b % p
+    return R
 
 
 def _random_point(a, b, p, rng):
@@ -638,7 +686,10 @@ def _random_point(a, b, p, rng):
         if rhs == 0:
             return (x, 0)
         if pow(rhs, (p - 1) // 2, p) == 1:
-            return (x, ecq._sqrt_mod(rhs, p))
+            y = _sqrt_mod(rhs, p)
+            if y * y % p != rhs:
+                raise AssertionError(f"{y} is no square root of {rhs} mod {p}")
+            return (x, y)
 
 
 def _euler_count(a, b, p):
@@ -673,10 +724,31 @@ def test_one_annihilator_shortcut_matches_exact_order_path():
             assert ns == _annihilators_by_walk(P, lo, hi, a, p), (a, b, p, P)
         # x^3 + ax + b = (x - r)(x^2 + rx + a + r^2) has three roots when -3r^2 - 4a is a square
         two_torsion = 4 if pow(-3 * r * r - 4 * a, (p - 1) // 2, p) == 1 else 2
+        points = list(islice(_walked_points(a, b, p), ecq.ORDER_POINTS))
         for h in (1, 2, two_torsion):
-            got = ecq._order_from_points(a, b, p, h)
-            assert got == _order_by_exact_orders(a, b, p, h, ecq.ORDER_POINTS), (a, b, p, h)
-            assert ecq._curve_order(a, b, p, h) == _euler_count(a, b, p), (a, b, p, h)
+            want = _order_by_exact_orders(p, h, points)
+            assert ecq._curve_order(a, b, p, h) == want == _euler_count(a, b, p), (a, b, p, h)
+
+
+@pytest.mark.parametrize("a, b, p, h", [(1, 0, 233, 1), (1, 0, 233, 4), (5, 2, 233, 1)])
+def test_a_twist_point_decides_where_the_curves_own_points_leave_the_order_open(a, b, p, h):
+    # the first 12 points of E allow more than one order in the Hasse window; the walk's twist points settle it
+    own = [pt for pt in _walked_points(a, b, p) if not pt[0]]
+    assert _order_by_exact_orders(p, h, own[:12]) is None
+    want = _order_by_exact_orders(p, h, islice(_walked_points(a, b, p), ecq.ORDER_POINTS))
+    assert ecq._curve_order(a, b, p, h) == want == _euler_count(a, b, p)
+
+
+def test_the_first_walked_point_may_lie_on_the_twist(monkeypatch):
+    # f(0) = 5 is no square mod 10007, so the walk starts at (0, 25) on Y^2 = X^3 + 25X + 125, the twist,
+    # and that point alone pins the order of E
+    a, b, p = 1, 5, 10007
+    assert pow(b, (p - 1) // 2, p) == p - 1
+    searched, bsgs = [], ecq._bsgs_annihilators
+    monkeypatch.setattr(ecq, "_bsgs_annihilators", lambda Q, *rest: searched.append((Q, rest[2])) or bsgs(Q, *rest))
+    monkeypatch.setattr(ecq, "ORDER_POINTS", 1)
+    assert ecq._curve_order(a, b, p, 1) == _euler_count(a, b, p)
+    assert searched == [((0, 25), 25)]
 
 
 def _random_two_torsion_curve(rng, p):
@@ -784,18 +856,20 @@ def test_stride_matches_the_stride_one_path_near_1e7_and_1e8(records):
 
 
 def test_a_point_killed_by_h_is_skipped_but_counted(monkeypatch):
-    # y^2 = x^3 + 5x: the x-walk starts at (0, 0), of order 2, so hP = O for h = 2 or 4
+    # y^2 = x^3 + 5x: the walk starts at (0, 0), of order 2, so hP = O for h = 2 or 4
     a, b, p = 5, 0, 10007
-    first, second = islice(ecq._points(a, b, p), 2)
-    assert first == (0, 0)
+    first, (_, second, af) = islice(_walked_points(a, b, p), 2)
+    assert first == (False, (0, 0), a) and (second, af) == ((6, 36), 180)
     h = 4 if pow(-4 * a, (p - 1) // 2, p) == 1 else 2
     searched, bsgs = [], ecq._bsgs_annihilators
     monkeypatch.setattr(ecq, "_bsgs_annihilators", lambda Q, *rest: searched.append(Q) or bsgs(Q, *rest))
-    assert ecq._order_from_points(a, b, p, h) == _euler_count(a, b, p)
-    assert searched[0] == ecq._ec_scale(h, second, a, p)
+    assert ecq._curve_order(a, b, p, h) == _euler_count(a, b, p)
+    assert searched[0] == ecq._ec_scale(h, second, af, p)
     searched.clear()
     monkeypatch.setattr(ecq, "ORDER_POINTS", 1)
-    assert ecq._order_from_points(a, b, p, h) is None and searched == []
+    with pytest.raises(BudgetExceeded):
+        ecq._curve_order(a, b, p, h)
+    assert searched == []
 
 
 def test_ap_hasse_bound(records):
