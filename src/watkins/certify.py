@@ -28,11 +28,13 @@ from typing import NamedTuple
 from .arith import Factorization, factor_fundamental, v2
 from .ecq import (
     CurveRecord,
+    LocalReduction,
     WeierstrassModel,
     a_p,
     conductor_from_support,
     minimal_model,
     quadratic_twist,
+    tate_local,
 )
 from .errors import (
     ConductorDivisibility,
@@ -145,7 +147,28 @@ def _twist_minimal_model(curve: CurveRecord, d: int, d_primes=()) -> tuple[set[i
     return support, minimal_model(quadratic_twist(curve.minimal_model, d), support).model
 
 
-def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
+def _two_adic_class(d: int) -> tuple[int, int]:
+    """The class of d in Q_2*/Q_2*^2: (v2(d) mod 2, the odd part of d mod 8), 8 keys for fundamental d."""
+    k = v2(d)
+    return k % 2, (d >> k) % 8
+
+
+def _reduction_at_two(table: dict, d: int, twist_min: WeierstrassModel) -> LocalReduction:
+    """The reduction at 2 of twist_min, the minimal model of a twist by d, read from table by d's 2-adic class.
+
+    Over Q_2 the twist depends only on that class, and its Kodaira type
+    and conductor exponent are invariants of the curve over Q_2, so Tate's
+    algorithm on twist_min fills a class met for the first time; a fill
+    that raises stores nothing.
+    """
+    key = _two_adic_class(d)
+    red = table.get(key)
+    if red is None:
+        red = table[key] = tate_local(twist_min, 2)
+    return red
+
+
+def is_minimal_twist(curve: CurveRecord, at_two: dict | None = None) -> tuple[bool, int | None]:
     """Whether no twist supported on 2N has a strictly smaller conductor.
 
     Returns (flag, witness): witness is the discriminant of the smallest
@@ -157,22 +180,29 @@ def is_minimal_twist(curve: CurveRecord) -> tuple[bool, int | None]:
     twist has a smaller exponent at p than N, and at 2 the lowest
     exponent among the 2-parts 1, -4, 8, -8 wins, then the smallest |t|,
     then the t that makes the witness positive.  That is omega_odd(N) + 3
-    twisted conductors, each supported on 2N, so nothing is factored.
+    twisted minimal models, each supported on 2N, so nothing is factored.
+    Every reduction at 2 comes from at_two, the record's table of 2-adic
+    classes (a fresh one when not given), through _reduction_at_two.
     """
     n = curve.conductor
+    at_two = {} if at_two is None else at_two
+
+    def twist_at_two(d: int) -> tuple[set[int], WeierstrassModel, LocalReduction]:
+        support, twist_min = _twist_minimal_model(curve, d)
+        return support, twist_min, _reduction_at_two(at_two, d, twist_min)
 
     def exponent(d: int, p: int) -> int:
-        support, twist_min = _twist_minimal_model(curve, d)
-        return conductor_from_support(twist_min, support, proven=True).v(p)
+        support, twist_min, red = twist_at_two(d)
+        return conductor_from_support(twist_min, support, proven=True, at_two=red).v(p)
 
     odd = 1
     for p in n.primes():
         pstar = p if p % 4 == 1 else -p
         if p != 2 and exponent(pstar, p) < n.v(p):
             odd *= pstar
-    at_two = {1: n.v(2), **{t: exponent(t, 2) for t in (-4, 8, -8)}}
-    lowest = min(at_two.values())
-    two = min((t for t, e in at_two.items() if e == lowest), key=lambda t: (abs(t), t * odd < 0))
+    exps = {1: n.v(2), **{t: twist_at_two(t)[2].f for t in (-4, 8, -8)}}
+    lowest = min(exps.values())
+    two = min((t for t, e in exps.items() if e == lowest), key=lambda t: (abs(t), t * odd < 0))
     d = odd * two
     return (True, None) if d == 1 else (False, d)
 
@@ -209,14 +239,18 @@ AP_SHARED_LIMIT = 10**4
 
 
 @lru_cache(maxsize=32)
-def _curve_facts(curve: CurveRecord) -> tuple[str, tuple, frozenset[int], dict[int, tuple[int, int]]]:
-    """(name, gates, N's primes, the (a_p, c_p) store below AP_SHARED_LIMIT) of a record, settled
-    once for all its certificates (32 records kept).  gates[assume_manin] is the ThresholdReport,
-    or the reason of the first curve-only gate that refuses."""
+def _curve_facts(curve: CurveRecord) -> tuple[str, tuple, frozenset[int], dict, dict]:
+    """(name, gates, N's primes, the (a_p, c_p) store below AP_SHARED_LIMIT, the table at 2) of a
+    record, settled once for all its certificates (32 records kept).  gates[assume_manin] is the
+    ThresholdReport, or the reason of the first curve-only gate that refuses.  The table at 2 maps
+    the 2-adic class of d (8 classes for fundamental d) to the LocalReduction at 2 of the twist's
+    minimal model; _reduction_at_two fills a class on its first use, is_minimal_twist those of
+    its own twists and verify_twist the rest."""
+    at_two: dict[tuple[int, int], LocalReduction] = {}
     try:
         if curve.two_torsion_rank < 1:
             raise NoTwoTorsion("curve has no rational 2-torsion")
-        minimal, witness = is_minimal_twist(curve)
+        minimal, witness = is_minimal_twist(curve, at_two)
         if not minimal:
             raise NotMinimalTwist(f"the twist by {witness} has a smaller conductor")
         gates = []
@@ -228,20 +262,26 @@ def _curve_facts(curve: CurveRecord) -> tuple[str, tuple, frozenset[int], dict[i
     except WatkinsError as err:
         gates = [_reason_from(err)] * 2
     name = curve.label or "[" + ",".join(str(a) for a in curve.minimal_model.ainvs()) + "]"
-    return name, tuple(gates), frozenset(curve.conductor.primes()), {}
+    return name, tuple(gates), frozenset(curve.conductor.primes()), {}, at_two
 
 
 class CertifyContext:
-    """The facts of one base curve, shared across many of its twists: ap(p) is (a_p, c_p).
+    """The facts of one base curve, shared across many of its twists: ap(p) is (a_p, c_p), and
+    at_two(d, twist_min) the reduction at 2 of the twist by d, whose minimal model is twist_min.
 
     They come from _curve_facts, once per record for every context and single-twist
-    call; (a_p, c_p) at a prime at or above AP_SHARED_LIMIT stays in its context.
+    call; (a_p, c_p) at a prime at or above AP_SHARED_LIMIT stays in its context.  The
+    reduction at 2 is read from the record's table of 2-adic classes, so Tate's algorithm
+    at 2 runs once per class of each record, whatever the number of contexts or twists.
     """
 
     def __init__(self, curve: CurveRecord):
         self.curve = curve
-        self.name, self.gates, self.n_primes, self._shared = _curve_facts(curve)
+        self.name, self.gates, self.n_primes, self._shared, self._at_two = _curve_facts(curve)
         self._ap: dict[int, tuple[int, int]] = {}
+
+    def at_two(self, d: int, twist_min: WeierstrassModel) -> LocalReduction:
+        return _reduction_at_two(self._at_two, d, twist_min)
 
     def ap(self, p: int) -> tuple[int, int]:
         store = self._shared if p < AP_SHARED_LIMIT else self._ap
@@ -264,7 +304,10 @@ def verify_twist(
     2-torsion, must be the minimal twist in its family, must have a
     known modular degree (and Manin constant, unless assume_manin),
     and its conductor must divide the twisted conductor.  The first three
-    come settled from the context, which must be one of curve.  Budget or
+    come settled from the context, which must be one of curve.  The
+    twist's minimal model and its conductor are computed per twist, but
+    for the reduction at 2: the context reads it from the record's table
+    of 2-adic classes, where Tate's algorithm ran once per class.  Budget or
     data errors downgrade to INAPPLICABLE with a snake_case reason rather
     than escaping.  d is factored first: a d that is not a fundamental
     discriminant raises ValueError, and a factoring budget error on d propagates.
@@ -277,7 +320,7 @@ def verify_twist(
     try:
         support, twist_min = _twist_minimal_model(curve, d, d_fact.primes())
         twist_cond = conductor_from_support(
-            twist_min, support, proven=d_fact.proven and curve.min_disc.proven
+            twist_min, support, proven=d_fact.proven and curve.min_disc.proven, at_two=ctx.at_two(d, twist_min)
         )
         if twist_cond.value % curve.conductor.value:
             raise ConductorDivisibility(f"N = {curve.conductor.value} does not divide N_D = {twist_cond.value}")

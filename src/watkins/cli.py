@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (a verify that says CERTIFIED), 1 a verify that
-says INCONCLUSIVE, 2 usage or data errors, 3 a verify that says
-INAPPLICABLE.  scan exits 0 once the sweep completes, whatever the
-per-twist verdicts were.
+says INCONCLUSIVE, 2 usage, data or output errors (a closed pipe
+included), 3 a verify that says INAPPLICABLE.  scan exits 0 once the
+sweep completes, whatever the per-twist verdicts were.
 """
 
 from __future__ import annotations
@@ -354,8 +354,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(*argv[:1]).parse_args(argv)
     try:
-        return args.func(args)
-    except (WatkinsError, ValueError) as err:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+        return code
+    except (WatkinsError, ValueError, OSError) as err:
+        if isinstance(err, BrokenPipeError):
+            # what stdout still buffers goes to /dev/null, not to a second error at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -410,12 +410,13 @@ def tate_local(m: WeierstrassModel, p: int) -> LocalReduction:
     return red
 
 
-def local_reductions(mm: WeierstrassModel, primes) -> list[LocalReduction]:
+def local_reductions(mm: WeierstrassModel, primes, at_two: LocalReduction | None = None) -> list[LocalReduction]:
     """Reduction data at the bad primes of the minimal model mm, ascending.
 
     primes is a set holding every prime of mm.disc; they are divided out
     of the discriminant, and IncompleteSupport reports a cofactor other
-    than 1.
+    than 1.  at_two, when given, is mm's reduction at 2, settled
+    elsewhere: 2 is still divided out, but Tate's algorithm skips it.
     """
     rest = abs(mm.disc)
     out = []
@@ -424,18 +425,21 @@ def local_reductions(mm: WeierstrassModel, primes) -> list[LocalReduction]:
             continue
         while rest % p == 0:
             rest //= p
-        out.append(tate_local(mm, p))
+        out.append(at_two if p == 2 and at_two is not None else tate_local(mm, p))
     if rest != 1:
         raise IncompleteSupport(f"the support leaves the cofactor {rest} of the discriminant {mm.disc}")
     return out
 
 
-def conductor_from_support(mm: WeierstrassModel, support, *, proven: bool) -> Factorization:
+def conductor_from_support(
+    mm: WeierstrassModel, support, *, proven: bool, at_two: LocalReduction | None = None
+) -> Factorization:
     """Conductor of the minimal model mm, from a prime set holding its bad primes.
 
-    proven is the flag of the factorizations the support came from.
+    proven is the flag of the factorizations the support came from; at_two
+    is passed on to local_reductions.
     """
-    fs = tuple((red.p, red.f) for red in local_reductions(mm, support) if red.f)
+    fs = tuple((red.p, red.f) for red in local_reductions(mm, support, at_two) if red.f)
     return Factorization(value=prod(p**f for p, f in fs), sign=1, factors=fs, proven=proven)
 
 

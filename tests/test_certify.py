@@ -627,6 +627,82 @@ def test_twist_conductor_from_support_matches_full_conductor(records, label, d):
     assert cert.twist_conductor == conductor(quadratic_twist(rec.minimal_model, d))
 
 
+# --- the table of reductions at 2 -------------------------------------------------
+
+
+def test_two_adic_class_splits_like_the_square_class():
+    # the table's key and the test-side square class at 2 cut |d| <= 400 into the same 8 classes
+    split = {}
+    for d in _SMALL_FUNDAMENTAL:
+        split.setdefault(certify._two_adic_class(d), set()).add(_square_class(d, 2))
+    assert len(split) == 8
+    assert all(len(classes) == 1 for classes in split.values())
+    assert len(set().union(*split.values())) == 8
+
+
+@given(
+    st.integers(min_value=-3000, max_value=3000),
+    st.integers(min_value=-3000, max_value=3000),
+    st.sampled_from((0, 1)),
+    fundamental_discriminants(),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_warm_table_at_two_gives_the_cold_certificate(a, b, a1, d, data):
+    # y^2 + a1*xy = x(x - A)(x + B), moved to the minimal twist of its family so the gates pass
+    b2 = a1 + 4 * (b - a)
+    assume(a * b != 0 and b2 * b2 != -64 * a * b)
+    rec = build_curve_record((a1, b - a, 0, -a * b, 0))
+    minimal, witness = is_minimal_twist(rec)
+    if not minimal:
+        rec = build_curve_record(quadratic_twist(rec.minimal_model, witness).ainvs())
+    rec = rec._replace(moddeg=1, manin=1)
+    key = certify._two_adic_class(d)
+    d2 = data.draw(st.sampled_from([e for e in _SMALL_FUNDAMENTAL if certify._two_adic_class(e) == key and e != d]))
+
+    certify._curve_facts.cache_clear()
+    cold = verify_twist(rec, d)
+    certify._curve_facts.cache_clear()
+    warm = CertifyContext(rec)
+    warm.at_two(d2, certify._twist_minimal_model(rec, d2, factorize(d2).primes())[1])
+    assert key in warm._at_two  # filled by d2, or by a twist of the minimality check
+    assert verify_twist(rec, d, context=warm) == cold
+
+    # the table against Tate's algorithm at 2, and the conductor against the full local loop
+    d_fact = factorize(d)
+    support, twist_min = certify._twist_minimal_model(rec, d, d_fact.primes())
+    assert warm.at_two(d, twist_min) == ecq.tate_local(twist_min, 2)
+    if cold.twist_conductor is not None:
+        assert cold.twist_conductor == conductor_from_support(
+            twist_min, support, proven=d_fact.proven and rec.min_disc.proven
+        )
+
+
+def test_tate_runs_at_two_once_per_two_adic_class_of_a_record(records, monkeypatch):
+    calls = []
+    real = ecq.tate_local
+
+    def counting(m, p):
+        if p == 2:
+            calls.append(m)
+        return real(m, p)
+
+    monkeypatch.setattr(ecq, "tate_local", counting)
+    monkeypatch.setattr(certify, "tate_local", counting)
+    certify._curve_facts.cache_clear()
+    argv = ["scan", "--label", "17a1", "--offline", "--d-bound", "3000"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    # 17a1's own discriminant, -17^4, is odd: building its record runs no Tate at 2
+    assert 0 < len(calls) <= 8
+    first = len(calls)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # a second scan builds an equal record
+    for d in _seeded_discriminants(24, 20):  # and context-free calls share its table
+        verify_twist(records["17a1"], d)
+    assert len(calls) == first
+
+
 def test_verify_with_shared_context_matches(records):
     ctx = CertifyContext(records["17a1"])
     for d in (-8, -3, 5, 13):

@@ -210,6 +210,47 @@ def test_verify_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["verdict"] == "CERTIFIED"
 
 
+@pytest.mark.parametrize("command", [["verify", "--d", "5"], ["scan", "--d-bound", "300"]])
+@pytest.mark.parametrize("target", ["a directory", "a missing directory"])
+def test_an_unwritable_out_exits_two(capsys, tmp_path, command, target):
+    path = tmp_path if target == "a directory" else tmp_path / "missing" / "cert.json"
+    code, out, err = run(capsys, *command, "--label", "17a1", "--offline", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+def _program(argv, **kwargs) -> subprocess.Popen:
+    """watkins in a fresh interpreter, its stdout block-buffered as it is under a shell pipe."""
+    src = str(Path(watkins.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.Popen([sys.executable, "-m", "watkins.cli", *argv], env=env, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_reader_that_leaves_a_scan_early_gets_exit_two_and_no_traceback(jobs):
+    # watkins scan ... | head -1
+    with _program(["scan", "--label", "17a1", "--offline", "--d-bound", "20000", "--jobs", jobs],
+                  stdout=subprocess.PIPE) as proc:
+        assert json.loads(proc.stdout.readline())["d"] == "-3"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_a_reader_gone_before_the_only_write_gets_exit_two_and_no_traceback():
+    # a verify writes one buffered line, so the closed pipe shows only when stdout is flushed
+    read, write = os.pipe()
+    os.close(read)
+    with _program(["verify", "--label", "17a1", "--offline", "--d", "5"], stdout=write) as proc:
+        os.close(write)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_verify_assume_manin(capsys):
     code, out, _ = run(
         capsys,
