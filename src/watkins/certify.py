@@ -100,7 +100,6 @@ def faltings_delta_v2(e1: WeierstrassModel, e2: WeierstrassModel) -> bool:
 
 
 class ThresholdReport(NamedTuple):
-    label: str | None
     threshold: int
     kappa: int
     omega_n: int
@@ -127,7 +126,6 @@ def watkins_threshold(curve: CurveRecord, *, assume_manin: bool = False) -> Thre
     v2m = v2(curve.moddeg) - 2 * v2(manin)
     t = 6 + 5 * curve.conductor.omega - v2m
     return ThresholdReport(
-        label=curve.label,
         threshold=t,
         kappa=kappa(t),
         omega_n=curve.conductor.omega,
@@ -136,15 +134,9 @@ def watkins_threshold(curve: CurveRecord, *, assume_manin: bool = False) -> Thre
     )
 
 
-def _twist_minimal_model(curve: CurveRecord, d: int, d_primes=()) -> tuple[set[int], WeierstrassModel]:
-    """A prime set holding every bad prime of the twist by d, and its minimal model over it.
-
-    The twist's discriminant is d^6 * Delta_min(E), times 6^12 unless E
-    is short.  N's primes are in the set, so d_primes may leave out those
-    of d that divide 2N, and a record whose N lies still meets the N | N_D gate.
-    """
-    support = {2, 3, *d_primes, *curve.min_disc.primes(), *curve.conductor.primes()}
-    return support, minimal_model(quadratic_twist(curve.minimal_model, d), support).model
+def curve_name(curve: CurveRecord) -> str:
+    """The name certificates and every command give the curve: its label, else its minimal a-invariants."""
+    return curve.label or "[" + ",".join(str(a) for a in curve.minimal_model.ainvs()) + "]"
 
 
 def _two_adic_class(d: int) -> tuple[int, int]:
@@ -153,19 +145,24 @@ def _two_adic_class(d: int) -> tuple[int, int]:
     return k % 2, (d >> k) % 8
 
 
-def _reduction_at_two(table: dict, d: int, twist_min: WeierstrassModel) -> LocalReduction:
-    """The reduction at 2 of twist_min, the minimal model of a twist by d, read from table by d's 2-adic class.
+def _twist_local(
+    curve: CurveRecord, at_two: dict, d: int, d_primes=(), proven: bool = True
+) -> tuple[WeierstrassModel, LocalReduction, Factorization]:
+    """(minimal model, reduction at 2, conductor) of the twist by d: the one path to its local data.
 
-    Over Q_2 the twist depends only on that class, and its Kodaira type
-    and conductor exponent are invariants of the curve over Q_2, so Tate's
-    algorithm on twist_min fills a class met for the first time; a fill
-    that raises stores nothing.
+    The support is 2, 3, d_primes and the primes of N and Delta_min(E), as the twist's discriminant
+    is d^6 * Delta_min(E), times 6^12 unless E is short; so d_primes may leave out the primes of 2N,
+    and a record whose N lies still meets the N | N_D gate.  The reduction at 2 depends only on the
+    class of d in Q_2*/Q_2*^2: Tate's algorithm fills that class of at_two, the record's table, on
+    its first use (a fill that raises stores nothing).  proven is the support's factorization flag.
     """
+    support = {2, 3, *d_primes, *curve.min_disc.primes(), *curve.conductor.primes()}
+    twist_min = minimal_model(quadratic_twist(curve.minimal_model, d), support).model
     key = _two_adic_class(d)
-    red = table.get(key)
+    red = at_two.get(key)
     if red is None:
-        red = table[key] = tate_local(twist_min, 2)
-    return red
+        red = at_two[key] = tate_local(twist_min, 2)
+    return twist_min, red, conductor_from_support(twist_min, support, proven=proven, at_two=red)
 
 
 def is_minimal_twist(curve: CurveRecord, at_two: dict | None = None) -> tuple[bool, int | None]:
@@ -180,27 +177,18 @@ def is_minimal_twist(curve: CurveRecord, at_two: dict | None = None) -> tuple[bo
     twist has a smaller exponent at p than N, and at 2 the lowest
     exponent among the 2-parts 1, -4, 8, -8 wins, then the smallest |t|,
     then the t that makes the witness positive.  That is omega_odd(N) + 3
-    twisted minimal models, each supported on 2N, so nothing is factored.
-    Every reduction at 2 comes from at_two, the record's table of 2-adic
-    classes (a fresh one when not given), through _reduction_at_two.
+    twists through _twist_local, each supported on 2N, so nothing is
+    factored; their reductions at 2 go to at_two, the record's table of
+    2-adic classes (a fresh one when not given).
     """
     n = curve.conductor
     at_two = {} if at_two is None else at_two
-
-    def twist_at_two(d: int) -> tuple[set[int], WeierstrassModel, LocalReduction]:
-        support, twist_min = _twist_minimal_model(curve, d)
-        return support, twist_min, _reduction_at_two(at_two, d, twist_min)
-
-    def exponent(d: int, p: int) -> int:
-        support, twist_min, red = twist_at_two(d)
-        return conductor_from_support(twist_min, support, proven=True, at_two=red).v(p)
-
     odd = 1
     for p in n.primes():
         pstar = p if p % 4 == 1 else -p
-        if p != 2 and exponent(pstar, p) < n.v(p):
+        if p != 2 and _twist_local(curve, at_two, pstar)[2].v(p) < n.v(p):
             odd *= pstar
-    exps = {1: n.v(2), **{t: twist_at_two(t)[2].f for t in (-4, 8, -8)}}
+    exps = {1: n.v(2), **{t: _twist_local(curve, at_two, t)[1].f for t in (-4, 8, -8)}}
     lowest = min(exps.values())
     two = min((t for t, e in exps.items() if e == lowest), key=lambda t: (abs(t), t * odd < 0))
     d = odd * two
@@ -244,8 +232,8 @@ def _curve_facts(curve: CurveRecord) -> tuple[str, tuple, frozenset[int], dict, 
     record, settled once for all its certificates (32 records kept).  gates[assume_manin] is the
     ThresholdReport, or the reason of the first curve-only gate that refuses.  The table at 2 maps
     the 2-adic class of d (8 classes for fundamental d) to the LocalReduction at 2 of the twist's
-    minimal model; _reduction_at_two fills a class on its first use, is_minimal_twist those of
-    its own twists and verify_twist the rest."""
+    minimal model; _twist_local fills a class on its first use, for is_minimal_twist's own twists
+    and for verify_twist's."""
     at_two: dict[tuple[int, int], LocalReduction] = {}
     try:
         if curve.two_torsion_rank < 1:
@@ -261,27 +249,23 @@ def _curve_facts(curve: CurveRecord) -> tuple[str, tuple, frozenset[int], dict, 
                 gates.append(_reason_from(err))
     except WatkinsError as err:
         gates = [_reason_from(err)] * 2
-    name = curve.label or "[" + ",".join(str(a) for a in curve.minimal_model.ainvs()) + "]"
-    return name, tuple(gates), frozenset(curve.conductor.primes()), {}, at_two
+    return curve_name(curve), tuple(gates), frozenset(curve.conductor.primes()), {}, at_two
 
 
 class CertifyContext:
     """The facts of one base curve, shared across many of its twists: ap(p) is (a_p, c_p), and
-    at_two(d, twist_min) the reduction at 2 of the twist by d, whose minimal model is twist_min.
+    at_two the record's table from the 2-adic class of d to the reduction at 2 of the twist by d.
 
     They come from _curve_facts, once per record for every context and single-twist
-    call; (a_p, c_p) at a prime at or above AP_SHARED_LIMIT stays in its context.  The
-    reduction at 2 is read from the record's table of 2-adic classes, so Tate's algorithm
-    at 2 runs once per class of each record, whatever the number of contexts or twists.
+    call; (a_p, c_p) at a prime at or above AP_SHARED_LIMIT stays in its context.  So
+    Tate's algorithm at 2 runs once per 2-adic class of each record, whatever the number
+    of contexts or twists.
     """
 
     def __init__(self, curve: CurveRecord):
         self.curve = curve
-        self.name, self.gates, self.n_primes, self._shared, self._at_two = _curve_facts(curve)
+        self.name, self.gates, self.n_primes, self._shared, self.at_two = _curve_facts(curve)
         self._ap: dict[int, tuple[int, int]] = {}
-
-    def at_two(self, d: int, twist_min: WeierstrassModel) -> LocalReduction:
-        return _reduction_at_two(self._at_two, d, twist_min)
 
     def ap(self, p: int) -> tuple[int, int]:
         store = self._shared if p < AP_SHARED_LIMIT else self._ap
@@ -304,23 +288,24 @@ def verify_twist(
     2-torsion, must be the minimal twist in its family, must have a
     known modular degree (and Manin constant, unless assume_manin),
     and its conductor must divide the twisted conductor.  The first three
-    come settled from the context, which must be one of curve.  The
-    twist's minimal model and its conductor are computed per twist, but
-    for the reduction at 2: the context reads it from the record's table
-    of 2-adic classes, where Tate's algorithm ran once per class.  Budget or
-    data errors downgrade to INAPPLICABLE with a snake_case reason rather
+    come settled from the context, and a context of another record raises
+    ValueError.  The twist's minimal model and its conductor come from
+    _twist_local per twist, but for the reduction at 2: it is read from the
+    record's table of 2-adic classes, where Tate's algorithm ran once per class.
+    Budget or data errors downgrade to INAPPLICABLE with a snake_case reason rather
     than escaping.  d is factored first: a d that is not a fundamental
     discriminant raises ValueError, and a factoring budget error on d propagates.
     """
     d_fact = factor_fundamental(d)
     ctx = context or CertifyContext(curve)
+    if ctx.curve is not curve and ctx.curve != curve:
+        raise ValueError(f"a context of {ctx.name} cannot certify the twists of another record")
     threshold = ctx.gates[bool(assume_manin)]
     if isinstance(threshold, str):
         return TwistCertificate(curve=ctx.name, d=d, verdict=INAPPLICABLE, reason=threshold)
     try:
-        support, twist_min = _twist_minimal_model(curve, d, d_fact.primes())
-        twist_cond = conductor_from_support(
-            twist_min, support, proven=d_fact.proven and curve.min_disc.proven, at_two=ctx.at_two(d, twist_min)
+        twist_min, _, twist_cond = _twist_local(
+            curve, ctx.at_two, d, d_fact.primes(), d_fact.proven and curve.min_disc.proven
         )
         if twist_cond.value % curve.conductor.value:
             raise ConductorDivisibility(f"N = {curve.conductor.value} does not divide N_D = {twist_cond.value}")
@@ -409,15 +394,9 @@ def certificate_to_json(cert: TwistCertificate) -> str:
     return json.dumps(certificate_to_obj(cert), separators=(",", ":"))
 
 
-def obj_to_flat(obj: dict) -> list[str]:
+def certificate_to_row(cert: TwistCertificate) -> list[str]:
     """CSV row in CERT_FIELDS order; nested values are JSON cells."""
-    row = []
-    for key in CERT_FIELDS:
-        v = obj[key]
-        if v is None:
-            row.append("")
-        elif isinstance(v, str):
-            row.append(v)
-        else:
-            row.append(json.dumps(v, separators=(",", ":")))
-    return row
+    return [
+        "" if v is None else v if isinstance(v, str) else json.dumps(v, separators=(",", ":"))
+        for v in certificate_to_obj(cert).values()
+    ]

@@ -18,11 +18,15 @@ from contextlib import ExitStack
 from .arith import count_omega_at_most, enumerate_fundamental_discriminants
 from .certify import (
     CERT_FIELDS,
+    CERTIFIED,
+    INAPPLICABLE,
+    INCONCLUSIVE,
     CertifyContext,
     _enc_fact,
-    certificate_to_obj,
+    certificate_to_json,
+    certificate_to_row,
+    curve_name,
     is_minimal_twist,
-    obj_to_flat,
     verify_twist,
     watkins_threshold,
 )
@@ -55,6 +59,18 @@ def _emit(obj: dict, out) -> None:
     out.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
+def _certificate_writer(args, out):
+    """The one writer of verify's and scan's certificate bytes: a function that writes a
+    certificate to out as a JSON line, or with --format csv as a row under a header written now."""
+    if args.format == "csv":
+        import csv  # only --format csv pays for the import
+
+        rows = csv.writer(out)
+        rows.writerow(CERT_FIELDS)
+        return lambda cert: rows.writerow(certificate_to_row(cert))
+    return lambda cert: out.write(certificate_to_json(cert) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -64,7 +80,7 @@ def _cmd_threshold(args) -> int:
     rep = watkins_threshold(record, assume_manin=args.assume_manin)
     _emit(
         {
-            "curve": rep.label or args.curve,
+            "curve": curve_name(record),
             "threshold": str(rep.threshold),
             "kappa": str(rep.kappa),
             "omega_n": str(rep.omega_n),
@@ -79,22 +95,9 @@ def _cmd_threshold(args) -> int:
 def _cmd_verify(args) -> int:
     record = _resolve_record(args)
     cert = verify_twist(record, args.d, assume_manin=args.assume_manin)
-    obj = certificate_to_obj(cert)
     with ExitStack() as stack:
-        out = _open_out(args, stack)
-        if args.format == "csv":
-            import csv  # only --format csv pays for the import
-
-            w = csv.writer(out)
-            w.writerow(CERT_FIELDS)
-            w.writerow(obj_to_flat(obj))
-        else:
-            _emit(obj, out)
-    if cert.verdict == "CERTIFIED":
-        return 0
-    if cert.verdict == "INCONCLUSIVE":
-        return 1
-    return 3
+        _certificate_writer(args, _open_out(args, stack))(cert)
+    return {CERTIFIED: 0, INCONCLUSIVE: 1, INAPPLICABLE: 3}[cert.verdict]
 
 
 _SCAN_CTX: CertifyContext | None = None
@@ -107,10 +110,9 @@ def _scan_init(record: CurveRecord, assume_manin: bool) -> None:
     _SCAN_ASSUME_MANIN = assume_manin
 
 
-def _scan_one(d: int) -> dict:
+def _scan_one(d: int):
     ctx = _SCAN_CTX
-    cert = verify_twist(ctx.curve, d, assume_manin=_SCAN_ASSUME_MANIN, context=ctx)
-    return certificate_to_obj(cert)
+    return verify_twist(ctx.curve, d, assume_manin=_SCAN_ASSUME_MANIN, context=ctx)
 
 
 def _open_out(args, stack: ExitStack):
@@ -134,38 +136,28 @@ def _cmd_scan(args) -> int:
     jobs = min(args.jobs, _usable_cpus())
     record = _resolve_record(args)
     ds = enumerate_fundamental_discriminants(args.d_bound, min_omega=args.min_omega)
-    counts = {"CERTIFIED": 0, "INCONCLUSIVE": 0, "INAPPLICABLE": 0}
+    counts = dict.fromkeys((CERTIFIED, INCONCLUSIVE, INAPPLICABLE), 0)
 
     with ExitStack() as stack:
         out = _open_out(args, stack)
-        writer = None
-        if args.format == "csv":
-            import csv  # only --format csv pays for the import
-
-            writer = csv.writer(out)
-            writer.writerow(CERT_FIELDS)
+        write = _certificate_writer(args, out)
         if jobs == 1:
             _scan_init(record, args.assume_manin)
-            objs = map(_scan_one, ds)
+            certs = map(_scan_one, ds)
         else:
             from multiprocessing import Pool  # only a parallel scan pays for the import
 
             pool = stack.enter_context(
                 Pool(jobs, initializer=_scan_init, initargs=(record, args.assume_manin))
             )
-            objs = pool.imap(_scan_one, ds, chunksize=16)
-        for obj in objs:
-            counts[obj["verdict"].split("(")[0]] += 1
-            if writer is not None:
-                writer.writerow(obj_to_flat(obj))
-            else:
-                _emit(obj, out)
+            certs = pool.imap(_scan_one, ds, chunksize=16)
+        for cert in certs:
+            counts[cert.verdict] += 1
+            write(cert)
 
         summary = {
             "total": str(sum(counts.values())),
-            "certified": str(counts["CERTIFIED"]),
-            "inconclusive": str(counts["INCONCLUSIVE"]),
-            "inapplicable": str(counts["INAPPLICABLE"]),
+            **{verdict.lower(): str(n) for verdict, n in counts.items()},
             "d_bound": str(args.d_bound),
             "min_omega": str(args.min_omega),
             "threshold": None,
@@ -188,7 +180,7 @@ def _cmd_ap(args) -> int:
     record = _resolve_record(args)
     value = a_p(record.minimal_model, args.p)
     _emit(
-        {"curve": record.label or args.curve, "p": str(args.p), "ap": str(value)},
+        {"curve": curve_name(record), "p": str(args.p), "ap": str(value)},
         sys.stdout,
     )
     return 0
@@ -199,7 +191,7 @@ def _cmd_conductor(args) -> int:
     locals_ = local_reductions(record.minimal_model, record.min_disc.primes())
     _emit(
         {
-            "curve": record.label or args.curve,
+            "curve": curve_name(record),
             "conductor": _enc_fact(record.conductor),
             "minimal_model": list(record.minimal_model.ainvs()),
             "local": [
@@ -217,7 +209,7 @@ def _cmd_minimal_twist(args) -> int:
     flag, witness = is_minimal_twist(record)
     _emit(
         {
-            "curve": record.label or args.curve,
+            "curve": curve_name(record),
             "is_minimal_twist": flag,
             "witness": None if witness is None else str(witness),
         },

@@ -21,20 +21,20 @@ from watkins.certify import (
     CertifyContext,
     certificate_to_json,
     certificate_to_obj,
+    certificate_to_row,
     faltings_delta_v2,
     is_minimal_twist,
     kappa,
     local_v2_contribution,
     moddeg_v2_lower_exact,
     moddeg_v2_lower_torsion,
-    obj_to_flat,
     selmer_rank_upper,
     twist_prime_set,
     twist_rank_upper,
     verify_twist,
     watkins_threshold,
 )
-from watkins.ecq import build_curve_record, conductor, conductor_from_support, quadratic_twist
+from watkins.ecq import build_curve_record, conductor, quadratic_twist
 from watkins.errors import (
     HasseViolation,
     MissingInvariant,
@@ -223,8 +223,7 @@ def _minimal_twist_reference(curve):
     best = None
     witness = None
     for d in minimal_twist_candidates(curve.conductor):
-        support, twist_min = certify._twist_minimal_model(curve, d)
-        cond = conductor_from_support(twist_min, support, proven=True).value
+        cond = certify._twist_local(curve, {}, d)[2].value  # a fresh table: Tate's algorithm at 2 on this twist
         key = (cond, abs(d), 0 if d > 0 else 1)
         if cond < n and (best is None or key < best):
             best = key
@@ -309,8 +308,8 @@ def test_twists_in_one_square_class_at_p_agree_at_p(a, b, a1, data):
     d2 = data.draw(st.sampled_from(same), label="d2")
 
     def local(d):
-        support, twist_min = certify._twist_minimal_model(rec, d, factorize(d).primes())
-        return conductor_from_support(twist_min, support, proven=True).v(p), arith.vp(twist_min.disc, p)
+        twist_min, _, cond = certify._twist_local(rec, {}, d, factorize(d).primes())
+        return cond.v(p), arith.vp(twist_min.disc, p)
 
     assert local(d) == local(d2)
 
@@ -512,14 +511,14 @@ def test_verify_assume_manin_holds_with_a_shared_context(records):
 
 def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypatch):
     calls = []  # every twist the minimality check reads: verify_twist itself passes d's primes
-    real = certify._twist_minimal_model
+    real = certify._twist_local
 
-    def counting(curve, d, *d_primes):
-        if not d_primes:
+    def counting(curve, at_two, d, *rest):
+        if not rest:
             calls.append(d)
-        return real(curve, d, *d_primes)
+        return real(curve, at_two, d, *rest)
 
-    monkeypatch.setattr(certify, "_twist_minimal_model", counting)
+    monkeypatch.setattr(certify, "_twist_local", counting)
     rec = records["17a1"]._replace(label="17a1-counted")
     certify._curve_facts.cache_clear()
     for d in (5, -3, 13, -4, 1000033):
@@ -530,6 +529,18 @@ def test_context_free_verify_checks_minimality_once_per_curve(records, monkeypat
     assert len(calls) == 8
     verify_twist(rec._replace(), 5)
     assert len(calls) == 8
+
+
+def test_a_context_of_another_record_is_refused_and_leaves_its_table_alone(records):
+    rec17, rec32 = records["17a1"], records["32a1"]
+    certify._curve_facts.cache_clear()
+    ctx17 = CertifyContext(rec17)
+    for d in (5, -20):  # -20 would fill 17a1's class of -20 at 2 with a twist of 32a1
+        with pytest.raises(ValueError, match="another record"):
+            verify_twist(rec32, d, context=ctx17)
+    cert = verify_twist(rec17, -20)
+    assert cert.curve == "17a1" and cert.twist_conductor.value == 6800  # 2^4 * 5^2 * 17
+    assert verify_twist(rec17._replace(), -20, context=ctx17) == cert  # an equal record is the same record
 
 
 def _gate_records(records) -> dict:
@@ -664,18 +675,15 @@ def test_a_warm_table_at_two_gives_the_cold_certificate(a, b, a1, d, data):
     cold = verify_twist(rec, d)
     certify._curve_facts.cache_clear()
     warm = CertifyContext(rec)
-    warm.at_two(d2, certify._twist_minimal_model(rec, d2, factorize(d2).primes())[1])
-    assert key in warm._at_two  # filled by d2, or by a twist of the minimality check
+    certify._twist_local(rec, warm.at_two, d2, factorize(d2).primes())
+    assert key in warm.at_two  # filled by d2, or by a twist of the minimality check
     assert verify_twist(rec, d, context=warm) == cold
 
-    # the table against Tate's algorithm at 2, and the conductor against the full local loop
-    d_fact = factorize(d)
-    support, twist_min = certify._twist_minimal_model(rec, d, d_fact.primes())
-    assert warm.at_two(d, twist_min) == ecq.tate_local(twist_min, 2)
+    # the table against Tate's algorithm at 2, and the conductor against one computed from scratch
+    twist_min, at_two, cond = certify._twist_local(rec, warm.at_two, d, factorize(d).primes())
+    assert at_two == ecq.tate_local(twist_min, 2)
     if cold.twist_conductor is not None:
-        assert cold.twist_conductor == conductor_from_support(
-            twist_min, support, proven=d_fact.proven and rec.min_disc.proven
-        )
+        assert cold.twist_conductor == cond == conductor(twist_min)
 
 
 def test_tate_runs_at_two_once_per_two_adic_class_of_a_record(records, monkeypatch):
@@ -764,7 +772,7 @@ def test_certificate_obj_inapplicable(records):
 def test_certificate_flat_row_roundtrip(records):
     cert = verify_twist(records["17a1"], 5)
     obj = certificate_to_obj(cert)
-    flat = obj_to_flat(obj)
+    flat = certificate_to_row(cert)
     assert len(flat) == len(CERT_FIELDS)
 
     buf = io.StringIO()

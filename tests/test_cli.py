@@ -183,6 +183,23 @@ def test_verify_by_ainvs_with_invariants(capsys):
     assert obj["curve"] == "[0,0,0,-1,0]"
 
 
+def test_every_command_names_a_curve_input_by_its_minimal_model(capsys):
+    # y^2 = x^3 - 256x is y^2 = x^3 - x scaled by u = 4, so each command names it [0,0,0,-1,0]
+    curve, invariants = ("--curve", "0, 0, 0, -256, 0"), ("--moddeg", "2", "--manin", "1")
+    for argv in (
+        ("threshold", *curve, *invariants),
+        ("verify", *curve, *invariants, "--d", "5"),
+        ("scan", *curve, *invariants, "--d-bound", "8"),
+        ("ap", *curve, "5"),
+        ("conductor", *curve),
+        ("minimal-twist", *curve),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert {row["curve"] for row in rows if "summary" not in row} == {"[0,0,0,-1,0]"}, argv
+
+
 def test_verify_missing_invariants_is_inapplicable(capsys):
     code, out, _ = run(capsys, "verify", "--curve", "0,0,0,-1,0", "--d", "5")
     assert code == 3
@@ -444,7 +461,7 @@ def test_scan_writes_each_certificate_before_drawing_the_next_d(capsys, monkeypa
     # the scan streams its discriminants: row k is written once k of them are drawn, and the summary last
     _, want, _ = run(capsys, "scan", "--label", "17a1", "--offline", "--d-bound", "30", "--jobs", "1")
     drawn, emitted = [], []
-    enumerate_, emit = cli.enumerate_fundamental_discriminants, cli._emit
+    enumerate_, emit, certificate_writer = cli.enumerate_fundamental_discriminants, cli._emit, cli._certificate_writer
 
     def recording(bound, **kwargs):
         for d in enumerate_(bound, **kwargs):
@@ -452,7 +469,12 @@ def test_scan_writes_each_certificate_before_drawing_the_next_d(capsys, monkeypa
             yield d
 
     monkeypatch.setattr(cli, "enumerate_fundamental_discriminants", recording)
-    monkeypatch.setattr(cli, "_emit", lambda obj, out: emitted.append(len(drawn)) or emit(obj, out))
+    def recording_writer(args, out):
+        write = certificate_writer(args, out)
+        return lambda cert: emitted.append(len(drawn)) or write(cert)
+
+    monkeypatch.setattr(cli, "_certificate_writer", recording_writer)
+    monkeypatch.setattr(cli, "_emit", lambda obj, out: emitted.append(len(drawn)) or emit(obj, out))  # the summary
     code, out, _ = run(capsys, "scan", "--label", "17a1", "--offline", "--d-bound", "30", "--jobs", "1")
     assert code == 0 and out == want
     assert emitted == [*range(1, len(drawn) + 1), len(drawn)]

@@ -177,7 +177,7 @@ def test_the_factoring_rule_sees_bare_and_attribute_calls():
 
 # what verify_twist may not compute per twist: each depends on the curve alone, and CertifyContext
 # reads it from certify._curve_facts once per record
-_PER_CURVE = ("is_minimal_twist", "watkins_threshold", "local_v2_contribution", "_curve_name", "_curve_facts")
+_PER_CURVE = ("is_minimal_twist", "watkins_threshold", "local_v2_contribution", "curve_name", "_curve_facts")
 
 
 def _per_curve_calls(tree: ast.AST, function: str = "verify_twist"):
@@ -203,8 +203,44 @@ def test_the_per_curve_rule_sees_every_call_in_verify_twist_only():
         "    if d:\n        return certify.watkins_threshold(curve)\n"
         "    f = lambda p, a: local_v2_contribution(p, a)\n    return _curve_facts(curve)[0]\n"
         "def other(curve):\n    return is_minimal_twist(curve)\n"
-        "class C:\n    def verify_twist(self):\n        return _curve_name(self)\n"
+        "class C:\n    def verify_twist(self):\n        return curve_name(self)\n"
     )
     assert list(_per_curve_calls(tree)) == [
         "is_minimal_twist:2", "watkins_threshold:4", "local_v2_contribution:5", "_curve_facts:6"
+    ]
+
+
+# what builds the twist's local data inside certify, and the one routine that may call it
+_TWIST_LOCAL = ("minimal_model", "quadratic_twist", "tate_local", "conductor_from_support")
+
+
+def _twist_local_calls(tree: ast.AST):
+    # calls of a twist-local builder, bare or as an attribute, in any top-level definition but _twist_local
+    for top in tree.body:
+        if getattr(top, "name", None) == "_twist_local":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in _TWIST_LOCAL:
+                    yield f"{getattr(top, 'name', '<module>')}:{name}:{node.lineno}"
+
+
+def test_the_twist_local_data_has_one_path_in_certify():
+    # the minimal model, reduction at 2 and conductor of a twist come from _twist_local alone,
+    # so the table of 2-adic classes and, later, the local table have one place to land
+    certify = next(path for path in SOURCES if path.stem == "certify")
+    assert list(_twist_local_calls(ast.parse(certify.read_text()))) == []
+
+
+def test_the_twist_local_rule_sees_every_caller_but_twist_local():
+    tree = ast.parse(
+        "def _twist_local(curve, d):\n    return minimal_model(quadratic_twist(curve, d))\n"
+        "def is_minimal_twist(curve):\n    return ecq.tate_local(curve, 2)\n"
+        "class C:\n    def f(self, m):\n        return conductor_from_support(m, (), proven=True)\n"
+        "x = minimal_model(y)\nquadratic_twist_later = 1\n"
+    )
+    assert list(_twist_local_calls(tree)) == [
+        "is_minimal_twist:tate_local:4", "C:conductor_from_support:7", "<module>:minimal_model:8"
     ]
